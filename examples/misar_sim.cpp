@@ -4,6 +4,11 @@
  *
  * Runs any catalog application (or lists them) on a chosen core
  * count and accelerator configuration, and prints a run report.
+ * The flags describe one campaign job: after checking them,
+ * misar_sim runs it through orch::resolveJob() and
+ * workload::runAppWithConfig(), the code the in-process campaign
+ * executor uses, so a misar_campaign job and an in-process one run
+ * and report identically.
  *
  *   misar_sim --list-apps | --list-presets
  *   misar_sim --app streamcluster --cores 64 --config msa-omu \
@@ -23,25 +28,24 @@
  * 1 fatal error.
  */
 
+#include <algorithm>
 #include <cctype>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
-#include "obs/run_report.hh"
 #include "orch/exit_codes.hh"
+#include "orch/job.hh"
 #include "sim/logging.hh"
-#include "srv/server_app.hh"
-#include "sync/sync_lib.hh"
+#include "srv/arrival.hh"
 #include "system/presets.hh"
-#include "system/system.hh"
 #include "workload/app_catalog.hh"
-#include "workload/synthetic_app.hh"
+#include "workload/runner.hh"
 
 using namespace misar;
 using namespace misar::workload;
@@ -70,7 +74,7 @@ usage()
         "  --no-hwsync     disable the HWSync-bit optimization\n"
         "  --no-omu        disable the OMU (entries never freed)\n"
         "  --seed N        workload seed (default 1)\n"
-        "  --tick-limit N  simulated-tick budget (default 5e9)\n"
+        "  --tick-limit N  simulated-tick budget (default 5000000000)\n"
         "  --stats         dump the full statistics registry\n"
         "  --kill-link SRC:DST@TICK\n"
         "                  kill the mesh link between adjacent routers\n"
@@ -161,17 +165,29 @@ parseKillFields(const char *v, const char *seps, std::uint64_t *out,
 }
 
 /**
- * Strict positive-decimal option value. atoi-style parsing silently
- * turns "10x" into 10 and "-5" into a huge unsigned; numeric
- * observability knobs fail loudly instead, like the kill specs.
+ * Strict decimal option value, positive unless @p allow_zero.
+ * atoi-style parsing silently turns "10x" into 10 and "-5" into a
+ * huge unsigned; numeric options fail loudly instead, like the kill
+ * specs.
  */
 std::uint64_t
-parsePositiveArg(const char *opt, const char *v)
+parseDecimalArg(const char *opt, const char *v, bool allow_zero = false)
 {
     std::uint64_t val = 0;
-    if (!parseKillFields(v, "", &val, 1) || val == 0)
-        fatal("%s expects a positive decimal number, got '%s'", opt, v);
+    if (!parseKillFields(v, "", &val, 1) || (val == 0 && !allow_zero))
+        fatal("%s expects a %sdecimal number, got '%s'", opt,
+              allow_zero ? "" : "positive ", v);
     return val;
+}
+
+/** parseDecimalArg() for an option stored as unsigned. */
+unsigned
+parseUnsignedArg(const char *opt, const char *v, bool allow_zero = false)
+{
+    const std::uint64_t val = parseDecimalArg(opt, v, allow_zero);
+    if (val > UINT_MAX)
+        fatal("%s %s is out of range", opt, v);
+    return static_cast<unsigned>(val);
 }
 
 /** Strict positive-real option value (arrival rates). */
@@ -190,22 +206,18 @@ parsePositiveRealArg(const char *opt, const char *v)
 int
 main(int argc, char **argv)
 {
-    std::string app_name, config = "msa-omu";
-    unsigned cores = 16, entries = 2, smt = 1, sim_threads = 1;
-    bool hwsync = true, omu = true, dump_stats = false;
-    bool profile_sync = false;
+    // The run flags fill one campaign job (its defaults are the
+    // CLI's) plus the campaign-wide server overrides, where 0 or ""
+    // keeps the app's default.
+    orch::JobSpec job;
+    job.preset.config = "msa-omu";
+    orch::CampaignSpec::ServerSweep server;
+    bool dump_stats = false, profile_sync = false;
     unsigned top_n = 16;
-    std::uint64_t seed = 1, sample_interval = 0;
+    std::uint64_t sample_interval = 0;
     std::uint64_t tick_limit = 5000000000ULL;
     std::string trace_path, stats_json_path, sample_csv_path;
     std::string heatmap_path;
-    double arrival_rate = 0; // 0 = app default
-    std::string service_dist;
-    std::uint64_t queue_cap = 0; // 0 = app default
-    std::uint64_t slo_ticks = 0; // 0 = no SLO
-    std::string retry_policy;
-    double retry_budget = 0; // 0 = spec default
-    std::string tenants;
     std::vector<LinkKill> link_kills;
     std::vector<RouterKill> router_kills;
     std::vector<CoreKill> core_kills;
@@ -228,26 +240,26 @@ main(int argc, char **argv)
                 std::printf("%s\n", p.c_str());
             return 0;
         } else if (a == "--app") {
-            app_name = next();
+            job.app = next();
         } else if (a == "--cores") {
-            cores = static_cast<unsigned>(std::atoi(next()));
+            job.cores = parseUnsignedArg("--cores", next());
         } else if (a == "--config") {
-            config = next();
+            job.preset.config = next();
         } else if (a == "--entries") {
-            entries = static_cast<unsigned>(std::atoi(next()));
+            job.preset.entries = parseUnsignedArg("--entries", next(),
+                                                  /*allow_zero=*/true);
         } else if (a == "--smt") {
-            smt = static_cast<unsigned>(std::atoi(next()));
+            job.preset.smt = parseUnsignedArg("--smt", next());
         } else if (a == "--threads") {
-            sim_threads = static_cast<unsigned>(
-                parsePositiveArg("--threads", next()));
+            job.preset.threads = parseUnsignedArg("--threads", next());
         } else if (a == "--no-hwsync") {
-            hwsync = false;
+            job.preset.hwsync = false;
         } else if (a == "--no-omu") {
-            omu = false;
+            job.preset.omu = false;
         } else if (a == "--seed") {
-            seed = static_cast<std::uint64_t>(std::atoll(next()));
+            job.seed = parseDecimalArg("--seed", next(), /*allow_zero=*/true);
         } else if (a == "--tick-limit") {
-            tick_limit = static_cast<std::uint64_t>(std::atoll(next()));
+            tick_limit = parseDecimalArg("--tick-limit", next());
         } else if (a == "--kill-link") {
             const char *v = next();
             std::uint64_t f[3];
@@ -282,23 +294,24 @@ main(int argc, char **argv)
         } else if (a == "--profile-sync") {
             profile_sync = true;
         } else if (a == "--top") {
-            top_n = static_cast<unsigned>(parsePositiveArg("--top", next()));
+            top_n = parseUnsignedArg("--top", next());
         } else if (a == "--sample-interval") {
-            sample_interval = parsePositiveArg("--sample-interval", next());
+            sample_interval = parseDecimalArg("--sample-interval", next());
         } else if (a == "--arrival-rate") {
-            arrival_rate = parsePositiveRealArg("--arrival-rate", next());
+            job.arrivalRate = parsePositiveRealArg("--arrival-rate", next());
         } else if (a == "--service-dist") {
-            service_dist = next();
+            server.serviceDist = next();
         } else if (a == "--queue-cap") {
-            queue_cap = parsePositiveArg("--queue-cap", next());
+            server.queueCap = parseDecimalArg("--queue-cap", next());
         } else if (a == "--slo") {
-            slo_ticks = parsePositiveArg("--slo", next());
+            server.slo = parseDecimalArg("--slo", next());
         } else if (a == "--retry-policy") {
-            retry_policy = next();
+            job.retryPolicy = next();
         } else if (a == "--retry-budget") {
-            retry_budget = parsePositiveRealArg("--retry-budget", next());
+            server.retryBudget =
+                parsePositiveRealArg("--retry-budget", next());
         } else if (a == "--tenants") {
-            tenants = next();
+            job.tenantMix = next();
         } else if (a == "--sample-out") {
             sample_csv_path = next();
         } else if (a == "--heatmap-out") {
@@ -311,76 +324,66 @@ main(int argc, char **argv)
             fatal("unknown option %s", a.c_str());
         }
     }
-    if (app_name.empty()) {
+    if (job.app.empty()) {
         usage();
         return 1;
     }
 
-    AppSpec spec = appByName(app_name); // copy: server knobs may edit
-    const bool overload_knobs = slo_ticks > 0 || !retry_policy.empty() ||
-                                retry_budget > 0 || !tenants.empty();
-    const bool server_knobs = arrival_rate > 0 ||
-                              !service_dist.empty() || queue_cap > 0 ||
-                              overload_knobs;
-    if (server_knobs && !spec.server.enabled)
+    // Check the job with the CLI's own messages before
+    // orch::resolveJob() builds it.
+    const srv::ServerSpec &app_server = appByName(job.app).server;
+    const bool overload_knobs = server.slo > 0 || !job.retryPolicy.empty() ||
+                                server.retryBudget > 0 ||
+                                !job.tenantMix.empty();
+    const bool server_knobs = job.arrivalRate > 0 ||
+                              !server.serviceDist.empty() ||
+                              server.queueCap > 0 || overload_knobs;
+    if (server_knobs && !app_server.enabled)
         fatal("--arrival-rate/--service-dist/--queue-cap/--slo/"
               "--retry-policy/--retry-budget/--tenants only apply to "
-              "server workloads, and '%s' is not one", app_name.c_str());
-    if (arrival_rate > 0 &&
-        spec.server.mode == srv::ArrivalMode::Closed)
+              "server workloads, and '%s' is not one", job.app.c_str());
+    if (job.arrivalRate > 0 && app_server.mode == srv::ArrivalMode::Closed)
         fatal("--arrival-rate does not apply to the closed-loop "
-              "'%s' app", app_name.c_str());
-    if (overload_knobs && spec.server.mode == srv::ArrivalMode::Closed)
+              "'%s' app", job.app.c_str());
+    if (overload_knobs && app_server.mode == srv::ArrivalMode::Closed)
         fatal("--slo/--retry-policy/--retry-budget/--tenants do not "
-              "apply to the closed-loop '%s' app", app_name.c_str());
-    if (arrival_rate > 0)
-        spec.server.arrivalRate = arrival_rate;
-    if (!service_dist.empty() &&
-        !srv::parseServiceDist(service_dist, spec.server.serviceDist))
+              "apply to the closed-loop '%s' app", job.app.c_str());
+    srv::ServiceDist dist;
+    if (!server.serviceDist.empty() &&
+        !srv::parseServiceDist(server.serviceDist, dist))
         fatal("unknown --service-dist '%s' (expected one of: %s)",
-              service_dist.c_str(), srv::serviceDistNames().c_str());
-    if (queue_cap > 0)
-        spec.server.queueCap = queue_cap;
-    if (slo_ticks > 0)
-        spec.server.sloTicks = slo_ticks;
-    if (!retry_policy.empty() &&
-        !srv::parseRetryPolicy(retry_policy, spec.server.retryPolicy))
+              server.serviceDist.c_str(), srv::serviceDistNames().c_str());
+    srv::RetryPolicy policy = app_server.retryPolicy;
+    if (!job.retryPolicy.empty() &&
+        !srv::parseRetryPolicy(job.retryPolicy, policy))
         fatal("unknown --retry-policy '%s' (expected one of: %s)",
-              retry_policy.c_str(), srv::retryPolicyNames().c_str());
-    if (retry_budget > 0) {
-        if (spec.server.retryPolicy != srv::RetryPolicy::Budgeted)
-            fatal("--retry-budget only applies with "
-                  "--retry-policy budgeted");
-        spec.server.retryBudgetRatio = retry_budget;
-    }
-    if (!tenants.empty()) {
+              job.retryPolicy.c_str(), srv::retryPolicyNames().c_str());
+    if (server.retryBudget > 0 && policy != srv::RetryPolicy::Budgeted)
+        fatal("--retry-budget only applies with --retry-policy budgeted");
+    if (!job.tenantMix.empty()) {
         double hi = 0, lo = 0;
-        if (!srv::parseTenantMix(tenants, hi, lo))
+        if (!srv::parseTenantMix(job.tenantMix, hi, lo))
             fatal("--tenants expects HI:LO (two positive rates in "
-                  "requests per kilotick), got '%s'", tenants.c_str());
-        if (arrival_rate > 0 &&
-            std::fabs(hi + lo - arrival_rate) > 1e-9 * (hi + lo))
+                  "requests per kilotick), got '%s'", job.tenantMix.c_str());
+        if (job.arrivalRate > 0 &&
+            std::fabs(hi + lo - job.arrivalRate) > 1e-9 * (hi + lo))
             fatal("--tenants %s sums to %g, not the --arrival-rate %g",
-                  tenants.c_str(), hi + lo, arrival_rate);
-        spec.server.tenantHiRate = hi;
-        spec.server.tenantLoRate = lo;
-        spec.server.arrivalRate = hi + lo;
+                  job.tenantMix.c_str(), hi + lo, job.arrivalRate);
     }
-
-    SystemConfig cfg;
-    sync::SyncLib::Flavor flavor;
-    if (!sys::cliPresetFor(config, cores, entries, cfg, flavor))
+    const std::string &config = job.preset.config;
+    const std::vector<std::string> &presets = sys::cliPresetNames();
+    if (std::find(presets.begin(), presets.end(), config) == presets.end())
         fatal("unknown config '%s'", config.c_str());
-    cores = cfg.numCores; // scale presets (msa256/msa1024) pin this
-    cfg.smtWays = smt;
-    cfg.simThreads = sim_threads;
-    cfg.validate();
-    cfg.msa.hwSyncBitOpt = hwsync;
-    cfg.msa.omuEnabled = omu;
-    cfg.seed = seed;
-    if (config == "msa-omu-faults" && !omu)
+    if (config == "msa-omu-faults" && !job.preset.omu)
         fatal("--no-omu is incompatible with msa-omu-faults (the "
               "offline slice sheds waiters to software)");
+
+    orch::JobRun run = orch::resolveJob(job, server);
+    SystemConfig &cfg = run.cfg;
+    cfg.validate();
+    // Scale presets (msa256/msa1024) pin their own core count.
+    const unsigned cores = cfg.numCores;
+
     // Validate kill targets against the actual topology up front:
     // a typo'd tile id should die here with a usable message, not
     // deep inside system construction.
@@ -434,7 +437,8 @@ main(int argc, char **argv)
     // runs only get it on explicit request (and then fail validation
     // with the real reason instead of silently dropping it).
     cfg.obs.profileSync =
-        profile_sync || (!stats_json_path.empty() && sim_threads == 1);
+        profile_sync ||
+        (!stats_json_path.empty() && job.preset.threads == 1);
     cfg.obs.profileTopN = top_n;
     cfg.obs.sampleInterval = sample_interval;
     cfg.obs.sampleCsvPath = sample_csv_path;
@@ -442,118 +446,40 @@ main(int argc, char **argv)
     cfg.obs.heatmapEnabled = !heatmap_path.empty();
     cfg.obs.heatmapJsonPath = heatmap_path;
 
-    sys::System s(cfg);
-    const unsigned threads = cfg.numThreads();
-    sync::SyncLib lib(flavor, threads);
-    if (cfg.resil.coreFaultsEnabled())
-        lib.setDeadQuery(
-            [&s](CoreId c) { return s.isDeclaredDead(c); });
-    AppLayout layout;
-    std::unique_ptr<srv::ServerHarness> harness;
-    if (spec.server.enabled)
-        harness = std::make_unique<srv::ServerHarness>(spec.server,
-                                                       threads, seed);
-    for (CoreId t = 0; t < threads; ++t)
-        s.start(t, harness
-                       ? harness->thread(s.api(t), &lib)
-                       : appThread(s.api(t), spec, layout, &lib,
-                                   threads, seed));
-
-    obs::RunMeta meta;
-    meta.app = spec.name;
-    meta.preset = config;
-    meta.accel = cfg.accelName();
-    meta.flavor = sync::SyncLib::flavorName(flavor);
-    meta.cores = cfg.numCores;
-    meta.smtWays = cfg.smtWays;
-    meta.msaEntries = cfg.msa.msaEntries;
-    meta.omuCounters = cfg.msa.omuCounters;
-    meta.omuEnabled = cfg.msa.omuEnabled;
-    meta.hwSyncBitOpt = cfg.msa.hwSyncBitOpt;
-    meta.seed = seed;
-
-    // If the run dies in panic()/fatal(), still flush a durable
-    // report whose outcome says so: an orchestrated job must always
-    // leave an ingestible artifact behind.
-    std::unique_ptr<obs::CrashReportGuard> guard;
-    if (!stats_json_path.empty())
-        guard = std::make_unique<obs::CrashReportGuard>(
-            stats_json_path, s, meta, top_n);
-
-    const sys::RunOutcome outcome = s.runDetailed(tick_limit);
-
-    srv::ServerStats server_stats;
-    if (harness)
-        server_stats = harness->finalize(s.makespan());
-
-    // Write the requested observability artifacts before any fatal()
-    // below, so a deadlocked or runaway run still leaves a trace and
-    // a report whose "outcome" field says what happened.
-    if (s.sampler())
-        s.sampler()->sampleNow();
-    if (s.monitor())
-        s.monitor()->finalize(s.eventQueue().now());
-    if (!heatmap_path.empty() && s.monitor()) {
-        std::ofstream hf(heatmap_path);
-        if (!hf)
-            fatal("cannot open heatmap file %s", heatmap_path.c_str());
-        s.monitor()->writeJson(hf);
-    }
-    if (!trace_path.empty()) {
-        std::ofstream tf(trace_path);
-        if (!tf)
-            fatal("cannot open trace file %s", trace_path.c_str());
-        s.writeTrace(tf);
-    }
-    if (!sample_csv_path.empty() && s.sampler()) {
-        std::ofstream cf(sample_csv_path);
-        if (!cf)
-            fatal("cannot open sample file %s", sample_csv_path.c_str());
-        s.sampler()->writeCsv(cf);
-    }
-    if (!stats_json_path.empty()) {
-        meta.outcome = sys::runOutcomeName(outcome);
-        meta.makespan = s.makespan();
-        meta.hwCoverage = s.hwCoverage();
-        // Durable (fsync'd): an orchestrator may SIGKILL this process
-        // the instant it exits, and the report must survive that.
-        if (!obs::writeRunReportDurable(stats_json_path, meta, s.stats(),
-                                        s.syncProfiler(), top_n,
-                                        s.sampler(), &s.eventQueue(),
-                                        s.monitor(),
-                                        harness ? &server_stats
-                                                : nullptr))
-            fatal("cannot write stats file %s", stats_json_path.c_str());
-    }
-    if (guard)
-        guard->disarm();
-
-    switch (outcome) {
+    // The run writes every requested artifact — even for a deadlocked
+    // or runaway run, whose report's "outcome" says what happened —
+    // and a panic()/fatal() mid-run still leaves the report.
+    std::unique_ptr<sys::System> system;
+    workload::RunOptions opts;
+    opts.tickLimit = tick_limit;
+    opts.system = &system;
+    const workload::RunResult r = workload::runAppWithConfig(
+        run.app, cfg, run.flavor, job.seed, config, opts);
+    switch (r.outcome) {
       case sys::RunOutcome::Finished:
         break;
       case sys::RunOutcome::Deadlock:
-        warn("simulation deadlocked (see stall report above)");
         return misar::orch::exitDeadlock;
       case sys::RunOutcome::LimitReached:
-        warn("simulation hit the tick budget (livelock or runaway)");
         return misar::orch::exitTickLimit;
     }
 
-    std::printf("app            : %s\n", spec.name.c_str());
+    sys::System &s = *system;
+    std::printf("app            : %s\n", run.app.name.c_str());
     std::printf("cores          : %u (%ux%u mesh, %u threads)\n",
-                cores, cfg.meshDim(), cfg.meshDim(), threads);
+                cores, cfg.meshDim(), cfg.meshDim(), cfg.numThreads());
     std::printf("config         : %s + %s library\n",
                 cfg.accelName().c_str(),
-                sync::SyncLib::flavorName(flavor));
+                sync::SyncLib::flavorName(run.flavor));
     std::printf("makespan       : %llu cycles\n",
-                static_cast<unsigned long long>(s.makespan()));
+                static_cast<unsigned long long>(r.makespan));
     std::printf("sync ops       : %llu hardware / %llu software "
                 "(%.1f%% coverage)\n",
                 static_cast<unsigned long long>(
                     s.stats().counter("sync.hwOps").value()),
                 static_cast<unsigned long long>(
                     s.stats().counter("sync.swOps").value()),
-                100.0 * s.hwCoverage());
+                100.0 * r.hwCoverage);
     std::printf("silent locks   : %llu\n",
                 static_cast<unsigned long long>(
                     s.stats().counter("sync.silentLocks").value()));
@@ -596,7 +522,8 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         s.stats().sumCountersSuffix(
                             ".msa.fencedReleases")));
-    if (harness) {
+    if (r.hasServer) {
+        const srv::ServerStats &server_stats = r.server;
         std::printf("server         : offered %.2f/ktick, achieved "
                     "%.2f/ktick, knee=%s\n",
                     server_stats.offeredRate, server_stats.throughput,

@@ -232,17 +232,8 @@ writeRunReport(std::ostream &os, const RunMeta &meta,
 }
 
 bool
-writeRunReportDurable(const std::string &path, const RunMeta &meta,
-                      const StatRegistry &stats, const SyncProfiler *prof,
-                      std::size_t top_n, const StatSampler *sampler,
-                      const EventQueue *eq, const ResourceMonitor *monitor,
-                      const srv::ServerStats *server)
+writeFileDurable(const std::string &path, const std::string &body)
 {
-    std::ostringstream os;
-    writeRunReport(os, meta, stats, prof, top_n, sampler, eq, monitor,
-                   server);
-    const std::string body = os.str();
-
     int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) {
         warn("cannot open stats file %s: %s", path.c_str(),
@@ -280,10 +271,11 @@ CrashReportGuard::CrashReportGuard(std::string path, sys::System &system,
         meta.hwCoverage = system.hwCoverage();
         if (system.monitor())
             system.monitor()->finalize(system.eventQueue().now());
-        writeRunReportDurable(path, meta, system.stats(),
-                              system.syncProfiler(), top_n,
-                              system.sampler(), &system.eventQueue(),
-                              system.monitor());
+        std::ostringstream os;
+        writeRunReport(os, meta, system.stats(), system.syncProfiler(),
+                       top_n, system.sampler(), &system.eventQueue(),
+                       system.monitor());
+        writeFileDurable(path, os.str());
     });
     armed = true;
 }

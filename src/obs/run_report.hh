@@ -97,21 +97,14 @@ void writeRunReport(std::ostream &os, const RunMeta &meta,
                     const srv::ServerStats *server = nullptr);
 
 /**
- * Write the report to @p path durably: the bytes are fully written
- * and fsync'd before returning, so the file survives an immediately
- * following abort()/_exit(). Campaign workers rely on this — a job
- * that panics right after (or during, via CrashReportGuard) still
- * leaves an ingestible report. Returns false (with a warning) on
- * I/O errors.
+ * Write @p body (a report's text) to @p path durably: the bytes are
+ * fully written and fsync'd before returning, so the file survives
+ * an immediately following abort()/_exit(). Campaign workers rely on
+ * this — a job that panics right after (or during, via
+ * CrashReportGuard) still leaves an ingestible report. Returns false
+ * (with a warning) on I/O errors.
  */
-bool writeRunReportDurable(const std::string &path, const RunMeta &meta,
-                           const StatRegistry &stats,
-                           const SyncProfiler *prof = nullptr,
-                           std::size_t top_n = 16,
-                           const StatSampler *sampler = nullptr,
-                           const EventQueue *eq = nullptr,
-                           const ResourceMonitor *monitor = nullptr,
-                           const srv::ServerStats *server = nullptr);
+bool writeFileDurable(const std::string &path, const std::string &body);
 
 /**
  * Arms the logging termination hook so that, if panic()/fatal()

@@ -16,16 +16,15 @@ cellKey(const std::string &preset, const std::string &app, unsigned cores,
         double arrivalRate, const std::string &retryPolicy,
         const std::string &tenantMix)
 {
-    std::string key = preset + "|" + app + "|" + std::to_string(cores);
-    // Appended only for the corresponding sweeps, mirroring
-    // JobSpec::key(): historical campaigns keep their exact cell keys.
-    if (arrivalRate > 0)
-        key += "|a" + formatRate(arrivalRate);
-    if (!retryPolicy.empty())
-        key += "|p" + retryPolicy;
-    if (!tenantMix.empty())
-        key += "|t" + tenantMix;
-    return key;
+    return preset + "|" + app + "|" + std::to_string(cores) +
+           serverAxesKey(arrivalRate, retryPolicy, tenantMix);
+}
+
+std::string
+cellKey(const JobSpec &j)
+{
+    return cellKey(j.preset.name, j.app, j.cores, j.arrivalRate,
+                   j.retryPolicy, j.tenantMix);
 }
 
 /** Fixed-width decimal formatting (deterministic report bytes). */
@@ -101,48 +100,23 @@ CampaignReport::CampaignReport(const CampaignSpec &spec,
                                const std::vector<JobRecord> &records)
     : spec(spec), records(records)
 {
-    // Cells in grid order (preset x app x cores x arrival rate x
-    // retry policy x tenant mix), matching CampaignSpec::expand()'s
-    // axis order.
-    const std::vector<double> rates =
-        spec.server.arrivalRates.empty()
-            ? std::vector<double>{0.0}
-            : spec.server.arrivalRates;
-    const std::vector<std::string> policies =
-        spec.server.retryPolicies.empty()
-            ? std::vector<std::string>{""}
-            : spec.server.retryPolicies;
-    const std::vector<std::string> mixes =
-        spec.server.tenantMixes.empty()
-            ? std::vector<std::string>{""}
-            : spec.server.tenantMixes;
-    for (const PresetSpec &p : spec.presets) {
-        for (const std::string &a : spec.apps) {
-            for (unsigned c : spec.cores) {
-                for (double rate : rates) {
-                    for (const std::string &pol : policies) {
-                        for (const std::string &mix : mixes) {
-                            Cell cell;
-                            cell.preset = p.name;
-                            cell.app = a;
-                            cell.cores = c;
-                            cell.arrivalRate = rate;
-                            cell.retryPolicy = pol;
-                            cell.tenantMix = mix;
-                            index[cellKey(p.name, a, c, rate, pol,
-                                          mix)] = _cells.size();
-                            _cells.push_back(std::move(cell));
-                        }
-                    }
-                }
-            }
-        }
+    // A cell is the jobs that differ only in seed and rep; its first
+    // job in grid order places it.
+    for (const JobSpec &j : spec.expand()) {
+        if (!index.emplace(cellKey(j), _cells.size()).second)
+            continue;
+        Cell cell;
+        cell.preset = j.preset.name;
+        cell.app = j.app;
+        cell.cores = j.cores;
+        cell.arrivalRate = j.arrivalRate;
+        cell.retryPolicy = j.retryPolicy;
+        cell.tenantMix = j.tenantMix;
+        _cells.push_back(std::move(cell));
     }
 
     for (const JobRecord &r : records) {
-        auto it = index.find(cellKey(r.job.preset.name, r.job.app,
-                                     r.job.cores, r.job.arrivalRate,
-                                     r.job.retryPolicy, r.job.tenantMix));
+        auto it = index.find(cellKey(r.job));
         if (it == index.end())
             continue; // not part of this spec's grid
         Cell &cell = _cells[it->second];

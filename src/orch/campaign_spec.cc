@@ -23,19 +23,26 @@ formatRate(double rate)
 }
 
 std::string
+serverAxesKey(double arrivalRate, const std::string &retryPolicy,
+              const std::string &tenantMix)
+{
+    std::string key;
+    if (arrivalRate > 0)
+        key += "|a" + formatRate(arrivalRate);
+    if (!retryPolicy.empty())
+        key += "|p" + retryPolicy;
+    if (!tenantMix.empty())
+        key += "|t" + tenantMix;
+    return key;
+}
+
+std::string
 JobSpec::key() const
 {
     std::ostringstream os;
     os << preset.name << "|" << app << "|c" << cores << "|s" << seed
-       << "|r" << rep;
-    // Appended only for server sweeps: historical grids (and their
-    // manifest hashes) keep their exact keys.
-    if (arrivalRate > 0)
-        os << "|a" << formatRate(arrivalRate);
-    if (!retryPolicy.empty())
-        os << "|p" << retryPolicy;
-    if (!tenantMix.empty())
-        os << "|t" << tenantMix;
+       << "|r" << rep
+       << serverAxesKey(arrivalRate, retryPolicy, tenantMix);
     return os.str();
 }
 

@@ -48,6 +48,12 @@ struct PresetSpec
  *  layer spells the same rate identically. */
 std::string formatRate(double rate);
 
+/** The key suffix of a job's or cell's server sweep axes: "|a<rate>"
+ *  "|p<policy>" "|t<mix>", each only on a swept axis, so grids
+ *  without those axes keep their historical keys and gridHash. */
+std::string serverAxesKey(double arrivalRate, const std::string &retryPolicy,
+                          const std::string &tenantMix);
+
 /** One fully-resolved job of the expanded grid. */
 struct JobSpec
 {

@@ -21,9 +21,6 @@
 #include "orch/manifest.hh"
 #include "orch/process_pool.hh"
 #include "sim/logging.hh"
-#include "srv/arrival.hh"
-#include "system/presets.hh"
-#include "workload/app_catalog.hh"
 #include "workload/runner.hh"
 
 namespace misar {
@@ -291,23 +288,15 @@ counterOf(const Json &counters, const std::string &name)
 }
 
 /**
- * Fill a record from the job's JSON run report. The manifest's
+ * Fill a record from the job's parsed JSON run report: the one path
+ * from a run to its record, for both executors. The executor's
  * outcome stays authoritative (the report of a crashed job says
  * "panic", of a timed-out job whatever its last flush said); the
  * report supplies the simulation-side numbers.
  */
 void
-ingestReport(JobRecord &r, const CampaignSpec &spec,
-             const std::string &reportPath)
+ingestReport(JobRecord &r, const CampaignSpec &spec, const Json &doc)
 {
-    std::string err;
-    Json doc = parseJsonFile(reportPath, &err);
-    if (!doc.isObj()) {
-        if (r.outcome == JobOutcome::Finished)
-            warn("job %u: unreadable run report %s (%s)", r.job.id,
-                 reportPath.c_str(), err.c_str());
-        return;
-    }
     const Json &meta = doc.at("meta");
     r.makespan = meta.at("makespan").uintOr(0);
     r.hwCoverage = meta.at("hwCoverage").numberOr(0.0);
@@ -577,7 +566,14 @@ runCampaign(const CampaignSpec &spec, const EngineOptions &opts,
         auto it = done.find(j.id);
         if (it != done.end()) {
             r.outcome = jobOutcomeFromName(it->second.outcome);
-            ingestReport(r, spec, opts.outDir + "/" + it->second.report);
+            const std::string path = opts.outDir + "/" + it->second.report;
+            std::string perr;
+            const Json doc = parseJsonFile(path, &perr);
+            if (doc.isObj())
+                ingestReport(r, spec, doc);
+            else if (r.outcome == JobOutcome::Finished)
+                warn("job %u: unreadable run report %s (%s)", j.id,
+                     path.c_str(), perr.c_str());
             if (r.outcome != JobOutcome::Finished)
                 r.note =
                     readTail(opts.outDir + "/" + jobLogRelPath(j.id));
@@ -592,131 +588,34 @@ runCampaignInProcess(const CampaignSpec &spec, const InProcessHooks &hooks)
 {
     std::vector<JobRecord> out;
     for (const JobSpec &j : spec.expand()) {
-        SystemConfig cfg;
-        sync::SyncLib::Flavor flavor;
-        if (!sys::cliPresetFor(j.preset.config, j.cores, j.preset.entries,
-                               cfg, flavor))
-            fatal("unknown preset config '%s' (validate the spec "
-                  "before running it)",
-                  j.preset.config.c_str());
-        cfg.smtWays = j.preset.smt;
-        cfg.simThreads = j.preset.threads;
-        cfg.msa.hwSyncBitOpt = j.preset.hwsync;
-        cfg.msa.omuEnabled = j.preset.omu;
-        cfg.seed = j.seed;
-        // Subprocess jobs run the profiler when serial (--stats-json
-        // implies it in misar_sim), so the in-process path must too —
-        // otherwise the two executors' records, and therefore the
-        // byte-compared campaign reports, would diverge on syncWait.
-        // The profiler is serial-only; threaded jobs omit it on both
-        // executors the same way.
-        cfg.obs.profileSync = j.preset.threads == 1;
-        if (spec.obs.sampleInterval)
-            cfg.obs.sampleInterval = spec.obs.sampleInterval;
-        cfg.obs.heatmapEnabled = cfg.obs.heatmapEnabled || spec.obs.heatmap;
+        JobRun run = resolveJob(j, spec.server);
+        // What jobArgv's flags ask of misar_sim: its --stats-json
+        // arms the profiler on serial runs (it is serial-only), and
+        // the spec's obs directive adds the sampler and heatmaps.
+        run.cfg.obs.profileSync = j.preset.threads == 1;
+        run.cfg.obs.sampleInterval = spec.obs.sampleInterval;
+        run.cfg.obs.heatmapEnabled = spec.obs.heatmap;
         if (hooks.tweak)
-            hooks.tweak(j, cfg);
-        cfg.validate();
+            hooks.tweak(j, run.cfg);
+        run.cfg.validate();
 
         workload::RunOptions ro;
         ro.tickLimit = spec.tickLimit;
-        ro.captureCounters = &spec.stats;
-        // Mirror jobArgv's server flags: the sweep's rate axis and
-        // overrides must reach in-process runs identically or the two
-        // executors' reports would diverge.
-        workload::AppSpec app = workload::appByName(j.app);
-        if (j.arrivalRate > 0)
-            app.server.arrivalRate = j.arrivalRate;
-        if (!spec.server.serviceDist.empty()) {
-            srv::ServiceDist d;
-            if (!srv::parseServiceDist(spec.server.serviceDist, d))
-                fatal("unknown server.serviceDist '%s' (validate the "
-                      "spec before running it)",
-                      spec.server.serviceDist.c_str());
-            app.server.serviceDist = d;
-        }
-        if (spec.server.queueCap)
-            app.server.queueCap = spec.server.queueCap;
-        if (spec.server.slo)
-            app.server.sloTicks = spec.server.slo;
-        if (!j.retryPolicy.empty()) {
-            srv::RetryPolicy p;
-            if (!srv::parseRetryPolicy(j.retryPolicy, p))
-                fatal("unknown retry policy '%s' (validate the spec "
-                      "before running it)", j.retryPolicy.c_str());
-            app.server.retryPolicy = p;
-            if (spec.server.retryBudget > 0 &&
-                p == srv::RetryPolicy::Budgeted)
-                app.server.retryBudgetRatio = spec.server.retryBudget;
-        }
-        if (!j.tenantMix.empty()) {
-            double hi = 0, lo = 0;
-            if (!srv::parseTenantMix(j.tenantMix, hi, lo))
-                fatal("bad tenant mix '%s' (validate the spec before "
-                      "running it)", j.tenantMix.c_str());
-            app.server.tenantHiRate = hi;
-            app.server.tenantLoRate = lo;
-            app.server.arrivalRate = hi + lo;
-        }
-        workload::RunResult rr = workload::runAppWithConfig(
-            app, cfg, flavor, j.seed, j.preset.name, ro);
+        std::string report;
+        ro.report = &report;
+        const sys::RunOutcome outcome =
+            workload::runAppWithConfig(run.app, run.cfg, run.flavor,
+                                       j.seed, j.preset.name, ro)
+                .outcome;
 
         JobRecord r;
         r.job = j;
-        switch (rr.outcome) {
-          case sys::RunOutcome::Finished:
-            r.outcome = JobOutcome::Finished;
-            break;
-          case sys::RunOutcome::Deadlock:
-            r.outcome = JobOutcome::Deadlock;
-            break;
-          case sys::RunOutcome::LimitReached:
-            r.outcome = JobOutcome::TickLimit;
-            break;
-        }
-        r.makespan = rr.makespan;
-        r.hwCoverage = rr.hwCoverage;
-        r.hwOps = rr.hwOps;
-        r.swOps = rr.swOps;
-        r.silentLocks = rr.silentLocks;
-        r.timeouts = rr.timeouts;
-        r.retries = rr.retries;
-        r.abortedOps = rr.abortedOps;
-        r.offlineSheds = rr.offlineSheds;
-        r.crossedSnoops = rr.crossedSnoops;
-        r.counters = rr.captured;
-        r.syncWait = rr.syncWait;
-        r.hasPressure = rr.hasPressure;
-        r.overflowEvents = rr.overflowEvents;
-        r.omuEpisodes = rr.omuEpisodes;
-        r.omuEpisodeTicks = rr.omuEpisodeTicks;
-        r.omuHighWater = rr.omuHighWater;
-        r.maxSliceOccupancy = rr.maxSliceOccupancy;
-        r.maxNiQueueDepth = rr.maxNiQueueDepth;
-        if (rr.hasServer) {
-            r.hasServer = true;
-            r.offeredRate = rr.server.offeredRate;
-            r.srvGenerated = rr.server.generated;
-            r.srvCompleted = rr.server.completed;
-            r.srvRejected = rr.server.rejected;
-            r.srvStranded = rr.server.stranded;
-            r.srvThroughput = rr.server.throughput;
-            r.srvKnee = rr.server.knee;
-            r.srvLatency = rr.server.latency;
-            r.srvRejectedSlo = rr.server.rejectedSlo;
-            r.srvRetries = rr.server.retries;
-            r.srvGoodput = rr.server.goodput;
-            for (const srv::TenantStats &ts : rr.server.tenants) {
-                JobRecord::TenantRecord tr;
-                tr.name = ts.name;
-                tr.generated = ts.generated;
-                tr.completed = ts.completed;
-                tr.rejected = ts.rejected + ts.rejectedSlo;
-                tr.goodput = ts.goodput;
-                tr.latency = ts.latency;
-                r.srvTenants.push_back(std::move(tr));
-            }
-        }
+        r.outcome = outcome == sys::RunOutcome::Finished
+                        ? JobOutcome::Finished
+                    : outcome == sys::RunOutcome::Deadlock
+                        ? JobOutcome::Deadlock
+                        : JobOutcome::TickLimit;
+        ingestReport(r, spec, parseJson(report));
         out.push_back(std::move(r));
     }
     return out;

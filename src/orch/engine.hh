@@ -2,22 +2,24 @@
  * @file
  * Campaign engine: expands a CampaignSpec and executes the job list.
  *
- * Two executors share the same JobRecord output (and therefore the
- * same aggregation path):
+ * Two executors differ only in where a job runs; what it runs and
+ * how it is recorded is shared (see orch/job.hh):
  *
  *  - runCampaign(): a fork/exec worker pool runs each job as an
  *    isolated misar_sim process, enforcing wall-clock timeouts
  *    (kill + bounded retry), classifying outcomes from exit codes
  *    (see orch/exit_codes.hh), journaling every terminal job to the
  *    append-only manifest (resume support), and re-reading each
- *    job's JSON run report for aggregation.
+ *    job's JSON run report for aggregation. misar_sim turns the
+ *    job's flags back into a JobSpec and runs it like the
+ *    in-process executor does.
  *
  *  - runCampaignInProcess(): the same grid executed serially in
- *    this process through workload::runAppWithConfig. Used by unit
- *    tests and the fig6/resil bench harnesses; produces identical
- *    JobRecords for identical seeds (simulation is deterministic),
- *    which is what lets a parallel campaign reproduce the serial
- *    benches bit-for-bit.
+ *    this process: resolveJob(), workload::runAppWithConfig(), and
+ *    the same report ingestion over the report text the run hands
+ *    back. Used by unit tests, the fig6/resil bench harnesses and
+ *    the reproduction benchmark. For identical seeds both executors
+ *    produce byte-identical campaign reports.
  */
 
 #ifndef MISAR_ORCH_ENGINE_HH
@@ -91,7 +93,8 @@ bool runCampaign(const CampaignSpec &spec, const EngineOptions &opts,
                  std::vector<JobRecord> &out, CampaignRunStats &stats,
                  std::string &err);
 
-/** Per-job config customization hook for the in-process engine. */
+/** Per-job config customization hook for the in-process engine,
+ *  applied after resolveJob() and the spec's obs directives. */
 struct InProcessHooks
 {
     std::function<void(const JobSpec &, SystemConfig &)> tweak;

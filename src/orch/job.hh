@@ -1,12 +1,15 @@
 /**
  * @file
- * Terminal job states and the per-job data record the aggregator
- * consumes. A JobRecord is produced either by parsing a subprocess
- * job's JSON run report (misar_campaign) or directly from a
- * RunResult (in-process engine used by tests and the fig6/resil
- * benches) — both paths yield identical values for identical seeds,
- * which is what makes parallel campaigns bit-reproducible against
- * the serial harnesses.
+ * A job's three stages, each implemented once: resolveJob() turns a
+ * JobSpec into the configuration it runs (misar_sim and the
+ * in-process executor both call it), workload::runAppWithConfig()
+ * runs it and writes its JSON run report, and the engine fills the
+ * JobRecord the aggregator consumes by parsing that report text —
+ * read back from disk for a misar_campaign subprocess job, handed
+ * over in memory for an in-process one. Both executors therefore
+ * run the same code on the same configuration and record the same
+ * values, which is what makes parallel campaigns byte-reproducible
+ * against the serial harnesses.
  */
 
 #ifndef MISAR_ORCH_JOB_HH
@@ -18,10 +21,34 @@
 
 #include "obs/histogram.hh"
 #include "orch/campaign_spec.hh"
+#include "sim/config.hh"
 #include "sim/types.hh"
+#include "sync/sync_lib.hh"
+#include "workload/synthetic_app.hh"
 
 namespace misar {
 namespace orch {
+
+/** What one job runs: the simulated system, its sync library flavor
+ *  and the workload. */
+struct JobRun
+{
+    SystemConfig cfg;
+    sync::SyncLib::Flavor flavor = sync::SyncLib::Flavor::Hw;
+    workload::AppSpec app;
+};
+
+/**
+ * Resolve @p j, plus a campaign's @p server overrides, into what the
+ * job runs: the preset's SystemConfig at the job's core count, MSA
+ * entries, SMT ways, kernel threads, HWSync/OMU switches and seed,
+ * and the catalog app with the job's arrival rate, retry policy and
+ * tenant mix and the overrides applied. Observability settings stay
+ * at their defaults. Front ends check names and value combinations
+ * with their own messages first; an unknown preset, app, service
+ * distribution, retry policy or tenant mix here is fatal().
+ */
+JobRun resolveJob(const JobSpec &j, const CampaignSpec::ServerSweep &server);
 
 /** How a job ended (superset of sys::RunOutcome: adds host failures). */
 enum class JobOutcome

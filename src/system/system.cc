@@ -372,8 +372,16 @@ System::allFinished() const
 RunOutcome
 System::runDetailed(Tick limit)
 {
-    const RunOutcome o = cfg.simThreads > 1 ? runParallel(limit)
-                                            : runSerial(limit);
+    RunOutcome o;
+    if (cfg.simThreads > 1) {
+        std::vector<EventQueue *> pq;
+        for (auto &q : partQueues)
+            pq.push_back(q.get());
+        ParallelEngine engine(eq, std::move(pq), laneToPart);
+        o = runLoop(limit, &engine);
+    } else {
+        o = runLoop(limit, nullptr);
+    }
     mergeShards();
     return o;
 }
@@ -410,65 +418,32 @@ System::liveSuffixSum(const std::string &suffix) const
 }
 
 RunOutcome
-System::runParallel(Tick limit)
-{
-    std::vector<EventQueue *> pq;
-    for (auto &q : partQueues)
-        pq.push_back(q.get());
-    ParallelEngine engine(eq, std::move(pq), laneToPart);
-
-    // Mirror runSerial exactly: same chunking, same stop checks at
-    // the same boundaries — that equivalence is what the determinism
-    // suite pins (threads N stats-identical to threads 1).
-    const Tick chunk = 10000;
-    const Tick start = eq.now();
-    const Tick deadline = (limit == maxTick) ? maxTick : start + limit;
-    for (;;) {
-        Tick until = (deadline - eq.now() < chunk) ? deadline
-                                                   : eq.now() + chunk;
-        engine.runUntil(until);
-        if (allFinished()) {
-            if (checker) {
-                engine.drainAll();
-                checker->atQuiesce();
-            }
-            return RunOutcome::Finished;
-        }
-        std::size_t maint =
-            (wdog ? wdog->pendingMaintenance() : 0u) +
-            (checker ? checker->pendingMaintenance() : 0u) +
-            (_sampler ? _sampler->pendingMaintenance() : 0u);
-        if (engine.pending() <= maint) {
-            warn("event queue drained with threads still blocked "
-                 "(deadlock) at tick %llu",
-                 static_cast<unsigned long long>(eq.now()));
-            warn("%s", buildStallReport().c_str());
-            return RunOutcome::Deadlock;
-        }
-        if (eq.now() >= deadline)
-            return RunOutcome::LimitReached;
-    }
-}
-
-RunOutcome
-System::runSerial(Tick limit)
+System::runLoop(Tick limit, ParallelEngine *engine)
 {
     // Run in slices so we can stop as soon as all threads are done
-    // (background NoC/coherence events may still be queued).
+    // (background NoC/coherence events may still be queued). Both
+    // kernels stop at the same chunk boundaries with the same checks:
+    // that is what keeps `--threads N` stats-identical to 1.
     const Tick chunk = 10000;
     const Tick start = eq.now();
     const Tick deadline = (limit == maxTick) ? maxTick : start + limit;
     for (;;) {
         Tick until = (deadline - eq.now() < chunk) ? deadline
                                                    : eq.now() + chunk;
-        eq.runUntil(until);
+        if (engine)
+            engine->runUntil(until);
+        else
+            eq.runUntil(until);
         if (allFinished()) {
             if (checker) {
                 // Settle in-flight background traffic so the strict
                 // end-state checks see a quiesced system. Safe: the
                 // interrupt driver, watchdog, and checker all stop
                 // once every thread has finished.
-                eq.run();
+                if (engine)
+                    engine->drainAll();
+                else
+                    eq.run();
                 checker->atQuiesce();
             }
             return RunOutcome::Finished;
@@ -479,7 +454,7 @@ System::runSerial(Tick limit)
             (wdog ? wdog->pendingMaintenance() : 0u) +
             (checker ? checker->pendingMaintenance() : 0u) +
             (_sampler ? _sampler->pendingMaintenance() : 0u);
-        if (eq.pending() <= maint) {
+        if ((engine ? engine->pending() : eq.pending()) <= maint) {
             warn("event queue drained with threads still blocked "
                  "(deadlock) at tick %llu",
                  static_cast<unsigned long long>(eq.now()));

@@ -33,6 +33,9 @@
 #include "sim/tile_runtime.hh"
 
 namespace misar {
+
+class ParallelEngine;
+
 namespace sys {
 
 /** How a run() ended. */
@@ -181,11 +184,10 @@ class System
     /** Construct + wire cfg.obs-enabled components (ctor tail). */
     void applyObservability();
 
-    /** Serial run loop (the pre-PDES kernel; `--threads 1`). */
-    RunOutcome runSerial(Tick limit);
-
-    /** PDES run loop: partitions the mesh over cfg.simThreads. */
-    RunOutcome runParallel(Tick limit);
+    /** The run loop: @p engine advances time under `--threads N`
+     *  (PDES over cfg.simThreads partitions); null runs the serial
+     *  queue. */
+    RunOutcome runLoop(Tick limit, ParallelEngine *engine);
 
     /** Fold per-tile stat shards into _stats (end of a run). */
     void mergeShards();

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <memory>
+#include <sstream>
 
 #include "obs/run_report.hh"
 #include "sim/logging.hh"
@@ -44,12 +45,26 @@ offlineShedCount(const StatRegistry &st)
            st.sumCountersSuffix(".msa.offlineCondAborts");
 }
 
-/** Write any cfg.obs-requested output files for a finished run. */
+/** Write @p write's output to @p path; fatal() when it cannot. */
+template <typename Write>
+void
+writeOutput(const std::string &path, const char *what, Write write)
+{
+    std::ofstream f(path);
+    if (!f)
+        fatal("cannot open %s file %s", what, path.c_str());
+    write(f);
+}
+
+/**
+ * Write the cfg.obs-requested output files of a finished run and,
+ * when @p report is set, hand back the run report's text.
+ */
 void
 writeObsOutputs(sys::System &s, const AppSpec &spec,
                 const std::string &preset, sync::SyncLib::Flavor flavor,
                 std::uint64_t seed, const RunResult &r,
-                const srv::ServerStats *server)
+                const srv::ServerStats *server, std::string *report)
 {
     const ObsConfig &o = s.config().obs;
     if (s.sampler())
@@ -57,44 +72,34 @@ writeObsOutputs(sys::System &s, const AppSpec &spec,
     if (s.monitor())
         s.monitor()->finalize(s.eventQueue().now());
 
-    if (!o.traceOutPath.empty()) {
-        std::ofstream f(o.traceOutPath);
-        if (!f) {
-            warn("cannot open trace file %s", o.traceOutPath.c_str());
-        } else {
-            s.writeTrace(f);
-        }
-    }
-    if (!o.sampleCsvPath.empty() && s.sampler()) {
-        std::ofstream f(o.sampleCsvPath);
-        if (!f) {
-            warn("cannot open sample file %s", o.sampleCsvPath.c_str());
-        } else {
-            s.sampler()->writeCsv(f);
-        }
-    }
-    if (!o.heatmapJsonPath.empty() && s.monitor()) {
-        std::ofstream f(o.heatmapJsonPath);
-        if (!f) {
-            warn("cannot open heatmap file %s", o.heatmapJsonPath.c_str());
-        } else {
-            s.monitor()->writeJson(f);
-        }
-    }
-    if (!o.statsJsonPath.empty()) {
-        obs::RunMeta meta = buildMeta(spec, s.config(), preset, flavor,
-                                      seed);
-        meta.outcome = sys::runOutcomeName(r.outcome);
-        meta.makespan = r.makespan;
-        meta.hwCoverage = r.hwCoverage;
-        // Durable (fsync'd) so a panic in a later run of the same
-        // process — or the orchestrator killing us right after the
-        // run — cannot lose the completed job's report.
-        obs::writeRunReportDurable(o.statsJsonPath, meta, s.stats(),
-                                   s.syncProfiler(), o.profileTopN,
-                                   s.sampler(), &s.eventQueue(),
-                                   s.monitor(), server);
-    }
+    if (!o.heatmapJsonPath.empty() && s.monitor())
+        writeOutput(o.heatmapJsonPath, "heatmap",
+                    [&](std::ostream &f) { s.monitor()->writeJson(f); });
+    if (!o.traceOutPath.empty())
+        writeOutput(o.traceOutPath, "trace",
+                    [&](std::ostream &f) { s.writeTrace(f); });
+    if (!o.sampleCsvPath.empty() && s.sampler())
+        writeOutput(o.sampleCsvPath, "sample",
+                    [&](std::ostream &f) { s.sampler()->writeCsv(f); });
+    if (o.statsJsonPath.empty() && !report)
+        return;
+    obs::RunMeta meta = buildMeta(spec, s.config(), preset, flavor, seed);
+    meta.outcome = sys::runOutcomeName(r.outcome);
+    meta.makespan = r.makespan;
+    meta.hwCoverage = r.hwCoverage;
+    std::ostringstream os;
+    obs::writeRunReport(os, meta, s.stats(), s.syncProfiler(),
+                        o.profileTopN, s.sampler(), &s.eventQueue(),
+                        s.monitor(), server);
+    const std::string text = os.str();
+    // Durable (fsync'd) so a panic in a later run of the same
+    // process — or the orchestrator killing us right after the run —
+    // cannot lose the completed job's report.
+    if (!o.statsJsonPath.empty() &&
+        !obs::writeFileDurable(o.statsJsonPath, text))
+        fatal("cannot write stats file %s", o.statsJsonPath.c_str());
+    if (report)
+        *report = text;
 }
 
 } // namespace
@@ -104,25 +109,27 @@ runAppWithConfig(const AppSpec &spec, const SystemConfig &cfg,
                  sync::SyncLib::Flavor flavor, std::uint64_t seed,
                  const std::string &preset, const RunOptions &opts)
 {
-    sys::System s(cfg);
-    sync::SyncLib lib(flavor, cfg.numCores);
+    auto system = std::make_unique<sys::System>(cfg);
+    sys::System &s = *system;
+    const unsigned threads = cfg.numThreads();
+    sync::SyncLib lib(flavor, threads);
     if (cfg.resil.coreFaultsEnabled())
         lib.setDeadQuery(
             [&s](CoreId c) { return s.isDeclaredDead(c); });
     AppLayout layout;
 
     // Server workloads run through the srv harness (which owns the
-    // request schedule and per-core recording); everything else is a
-    // synthetic-signature appThread.
+    // request schedule and per-thread recording); everything else is
+    // a synthetic-signature appThread.
     std::unique_ptr<srv::ServerHarness> harness;
     if (spec.server.enabled)
-        harness = std::make_unique<srv::ServerHarness>(
-            spec.server, cfg.numCores, seed);
-    for (CoreId c = 0; c < cfg.numCores; ++c)
-        s.start(c, harness
-                       ? harness->thread(s.api(c), &lib)
-                       : appThread(s.api(c), spec, layout, &lib,
-                                   cfg.numCores, seed));
+        harness = std::make_unique<srv::ServerHarness>(spec.server,
+                                                       threads, seed);
+    for (CoreId t = 0; t < threads; ++t)
+        s.start(t, harness
+                       ? harness->thread(s.api(t), &lib)
+                       : appThread(s.api(t), spec, layout, &lib, threads,
+                                   seed));
 
     // If the run dies in panic()/fatal() mid-flight, still flush a
     // report whose outcome says so (campaign jobs must always leave
@@ -145,9 +152,11 @@ runAppWithConfig(const AppSpec &spec, const SystemConfig &cfg,
              spec.name.c_str(), cfg.accelName().c_str());
     r.makespan = s.makespan();
     r.hwCoverage = s.hwCoverage();
-    r.hwOps = s.stats().counter("sync.hwOps").value();
-    r.swOps = s.stats().counter("sync.swOps").value();
-    r.silentLocks = s.stats().counter("sync.silentLocks").value();
+    // counterValue(), not counter(): reading must not register a
+    // zero counter, or the run report would depend on who read it.
+    r.hwOps = s.stats().counterValue("sync.hwOps");
+    r.swOps = s.stats().counterValue("sync.swOps");
+    r.silentLocks = s.stats().counterValue("sync.silentLocks");
     r.timeouts = s.stats().counterValue("resil.timeouts");
     r.retries = s.stats().counterValue("resil.retries");
     r.abortedOps = s.stats().counterValue("sync.abortedOps");
@@ -177,7 +186,7 @@ runAppWithConfig(const AppSpec &spec, const SystemConfig &cfg,
     }
 
     writeObsOutputs(s, spec, preset, flavor, seed, r,
-                    r.hasServer ? &r.server : nullptr);
+                    r.hasServer ? &r.server : nullptr, opts.report);
     if (const obs::ResourceMonitor *m = s.monitor()) {
         // After writeObsOutputs: finalize() has closed open episodes.
         r.hasPressure = true;
@@ -190,6 +199,8 @@ runAppWithConfig(const AppSpec &spec, const SystemConfig &cfg,
     }
     if (guard)
         guard->disarm();
+    if (opts.system)
+        *opts.system = std::move(system);
     return r;
 }
 

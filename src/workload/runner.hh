@@ -8,6 +8,7 @@
 #define MISAR_WORKLOAD_RUNNER_HH
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -88,13 +89,21 @@ struct RunResult
     /** @} */
 };
 
-/** Per-run execution knobs (campaign engine / ablation harnesses). */
+/** Per-run execution knobs (misar_sim, campaign engine, ablation
+ *  harnesses). */
 struct RunOptions
 {
     /** Simulated-tick budget handed to System::runDetailed. */
     Tick tickLimit = 2000000000ULL;
     /** StatRegistry counters copied into RunResult::captured. */
     const std::vector<std::string> *captureCounters = nullptr;
+    /** When set, receives the finished System (registry, profiler)
+     *  for reporting after the run; only for reading, since the
+     *  run's sync library and workload are gone. */
+    std::unique_ptr<sys::System> *system = nullptr;
+    /** When set, receives the run report's JSON text — the bytes
+     *  cfg.obs.statsJsonPath gets when that is set too. */
+    std::string *report = nullptr;
 };
 
 /** Run @p spec on @p cores cores under configuration @p pc. */
@@ -102,10 +111,13 @@ RunResult runApp(const AppSpec &spec, unsigned cores, sys::PaperConfig pc,
                  std::uint64_t seed = 1);
 
 /**
- * Same, but with an explicit SystemConfig (for ablations). When
- * cfg.obs names output files (traceOutPath / statsJsonPath /
- * sampleCsvPath) they are written after the run; @p preset labels
- * the run report's metadata block.
+ * Same, but with an explicit SystemConfig (for ablations). One
+ * thread runs per hardware thread (cfg.numThreads()). When cfg.obs
+ * names output files (traceOutPath / sampleCsvPath /
+ * heatmapJsonPath / statsJsonPath) they are written after the run,
+ * and one that cannot be written is fatal(); while the run is in
+ * flight a panic()/fatal() still leaves a statsJsonPath report.
+ * @p preset labels the run report's metadata block.
  */
 RunResult runAppWithConfig(const AppSpec &spec, const SystemConfig &cfg,
                            sync::SyncLib::Flavor flavor,

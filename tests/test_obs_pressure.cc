@@ -607,6 +607,14 @@ TEST(ObsCli, BadTopAndSampleIntervalAreRejected)
          "--sample-interval expects a positive"},
         {"--app fft --sample-interval 10k",
          "--sample-interval expects a positive"},
+        // The run-shape numbers too: "5e9" is not a 5-tick budget,
+        // "-1" entries do not wrap, and "16x" / "7abc" are not 16 / 7.
+        {"--app fft --tick-limit 5e9", "--tick-limit expects a positive"},
+        {"--app fft --entries -1", "--entries expects a decimal"},
+        {"--app fft --cores 16x", "--cores expects a positive"},
+        {"--app fft --cores 4294967312", "--cores 4294967312 is out of"},
+        {"--app fft --smt 2x", "--smt expects a positive"},
+        {"--app fft --seed 7abc", "--seed expects a decimal"},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.args);

@@ -554,6 +554,70 @@ TEST(OrchEngine, SubprocessMatchesInProcessAndResumes)
     EXPECT_EQ(jfull.str(), jsub.str());
 }
 
+TEST(OrchEngine, ExecutorsAgreeOnEveryJobAxis)
+{
+    // One grid per job axis the smoke spec leaves at its default: the
+    // server rate x retry-policy sweep with every server override,
+    // the tenant-mix sweep, and an SMT preset. Both executors resolve,
+    // run and record each job through the same code, so the three
+    // report files must agree byte for byte.
+    const char *texts[] = {
+        R"({"name": "rates-policies",
+            "presets": [{"name": "MSA", "config": "msa-omu",
+                         "entries": 16}],
+            "apps": ["server-poisson"], "cores": [16], "seeds": [1, 2],
+            "server": {"arrivalRates": [4, 8],
+                       "retryPolicies": ["none", "budgeted"],
+                       "slo": 20000, "queueCap": 32,
+                       "retryBudget": 0.2},
+            "timeoutSec": 120})",
+        R"({"name": "tenants",
+            "presets": [{"name": "MSA", "config": "msa-omu",
+                         "entries": 16}],
+            "apps": ["server-poisson"], "cores": [16], "seeds": [1, 2],
+            "server": {"tenantMixes": ["2:2", "2:6"], "slo": 20000},
+            "timeoutSec": 120})",
+        R"({"name": "smt",
+            "presets": [{"name": "MSA-SMT2", "config": "msa-omu",
+                         "smt": 2}],
+            "apps": ["fft"], "cores": [16],
+            "timeoutSec": 120})",
+    };
+    const std::string dir = tmpDir();
+    for (const char *text : texts) {
+        CampaignSpec spec;
+        std::string err;
+        ASSERT_TRUE(CampaignSpec::parse(text, spec, err)) << err;
+        ASSERT_EQ(spec.validate(), "");
+        SCOPED_TRACE(spec.name);
+
+        EngineOptions opts;
+        opts.outDir = dir + "/" + spec.name;
+        opts.workers = 2;
+        opts.simPath = MISAR_SIM_PATH;
+        opts.verbose = false;
+        std::vector<JobRecord> sub;
+        CampaignRunStats stats;
+        ASSERT_TRUE(runCampaign(spec, opts, sub, stats, err)) << err;
+        const std::vector<JobRecord> inproc = runCampaignInProcess(spec);
+        ASSERT_EQ(sub.size(), inproc.size());
+        for (const JobRecord &r : sub)
+            EXPECT_EQ(r.outcome, JobOutcome::Finished) << r.job.key();
+
+        const CampaignReport a(spec, sub), b(spec, inproc);
+        std::ostringstream ja, jb, ca, cb, ta, tb;
+        a.writeJson(ja);
+        b.writeJson(jb);
+        a.writeCsv(ca);
+        b.writeCsv(cb);
+        a.writeTable(ta);
+        b.writeTable(tb);
+        EXPECT_EQ(ja.str(), jb.str());
+        EXPECT_EQ(ca.str(), cb.str());
+        EXPECT_EQ(ta.str(), tb.str());
+    }
+}
+
 TEST(OrchEngine, ResumeRejectsChangedGrid)
 {
     CampaignSpec spec = smokeSpec();
