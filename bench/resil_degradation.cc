@@ -129,10 +129,10 @@ degradedMeshSection(unsigned cores)
         RunResult rt = runAppWithConfig(
             spec, meshVariantConfig(MeshVariant::OneRouter, cores),
             sync::SyncLib::Flavor::Hw, 1, app, opts);
+        const bool shed = rt.resilience["partitionSheds"] > 0;
         const char *router_outcome =
-            rt.finished ? "finished"
-                        : (rt.partitionSheds ? "partition" : "UNSHED");
-        if (!rt.finished && !rt.partitionSheds)
+            rt.finished ? "finished" : (shed ? "partition" : "UNSHED");
+        if (!rt.finished && !shed)
             ok = false;
 
         std::printf("%-14s %9llu %9llu %6.2f%% %9llu %8llu %9llu %8s\n",
@@ -140,8 +140,10 @@ degradedMeshSection(unsigned cores)
                     static_cast<unsigned long long>(rr[0].makespan),
                     static_cast<unsigned long long>(rr[1].makespan), ovh,
                     static_cast<unsigned long long>(rr[2].makespan),
-                    static_cast<unsigned long long>(rr[2].nocRetransmits),
-                    static_cast<unsigned long long>(rr[2].detourHops),
+                    static_cast<unsigned long long>(
+                        rr[2].resilience["nocRetransmits"]),
+                    static_cast<unsigned long long>(
+                        rr[2].resilience["detourHops"]),
                     router_outcome);
     }
     const double geo_ovh = 100.0 * (bench::geoMean(ovh_ratios) - 1.0);
@@ -233,9 +235,10 @@ deadCoreSection(unsigned cores)
         }
         // Both kill rows: exactly one corpse, struck from membership.
         for (int i = 1; i <= 2; ++i)
-            if (rr[i].coreKills != 1 || rr[i].barrierReconfigs == 0)
+            if (rr[i].resilience["coreKills"] != 1 ||
+                rr[i].resilience["barrierReconfigs"] == 0)
                 ok = false;
-        any_revocation |= rr[2].lockRevocations > 0;
+        any_revocation |= rr[2].resilience["lockRevocations"] > 0;
         // The failover row: the slice moved, nothing was shed.
         if (rr[3].captured.at("tile0.msa.failovers") != 1 ||
             rr[3].captured.at("tile1.msa.handoffsApplied") != 1)
@@ -248,11 +251,12 @@ deadCoreSection(unsigned cores)
                     static_cast<unsigned long long>(rr[1].makespan),
                     static_cast<unsigned long long>(rr[2].makespan),
                     static_cast<unsigned long long>(
-                        rr[2].lockRevocations),
+                        rr[2].resilience["lockRevocations"]),
                     static_cast<unsigned long long>(
-                        rr[2].barrierReconfigs),
+                        rr[2].resilience["barrierReconfigs"]),
                     static_cast<unsigned long long>(rr[3].makespan),
-                    static_cast<unsigned long long>(rr[3].rehomedVars));
+                    static_cast<unsigned long long>(
+                        rr[3].resilience["rehomedVars"]));
     }
     // Steady-state kills must orphan a hardware lock somewhere in the
     // suite — otherwise the revocation column proves nothing.
@@ -368,11 +372,11 @@ main()
             row.app = aspec.name;
             row.cores = cores;
             for (const JobRecord *r : fcell->recs) {
-                row.timeouts += r->timeouts;
-                row.retries += r->retries;
-                row.aborted += r->abortedOps;
-                row.sheds += r->offlineSheds;
-                row.snoops += r->crossedSnoops;
+                row.timeouts += r->resilience["timeouts"];
+                row.retries += r->resilience["retries"];
+                row.aborted += r->resilience["abortedOps"];
+                row.sheds += r->resilience["offlineSheds"];
+                row.snoops += r->resilience["crossedSnoops"];
             }
             resil_rows.push_back(row);
             // Fraction of the clean MSA/OMU-2 speedup the faulted

@@ -475,53 +475,42 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(r.makespan));
     std::printf("sync ops       : %llu hardware / %llu software "
                 "(%.1f%% coverage)\n",
-                static_cast<unsigned long long>(
-                    s.stats().counter("sync.hwOps").value()),
-                static_cast<unsigned long long>(
-                    s.stats().counter("sync.swOps").value()),
+                static_cast<unsigned long long>(r.hwOps),
+                static_cast<unsigned long long>(r.swOps),
                 100.0 * r.hwCoverage);
     std::printf("silent locks   : %llu\n",
-                static_cast<unsigned long long>(
-                    s.stats().counter("sync.silentLocks").value()));
+                static_cast<unsigned long long>(r.silentLocks));
+    const obs::ResilienceSummary &resil = r.resilience;
     if (cfg.resil.messageFaultsEnabled() || cfg.resil.offlineTile >= 0)
         std::printf("resilience     : %llu drops / %llu timeouts / "
                     "%llu retries / %llu abandoned\n",
                     static_cast<unsigned long long>(
-                        s.stats().counter("resil.injectedDrops").value()),
+                        resil["injectedDrops"]),
+                    static_cast<unsigned long long>(resil["timeouts"]),
+                    static_cast<unsigned long long>(resil["retries"]),
                     static_cast<unsigned long long>(
-                        s.stats().counter("resil.timeouts").value()),
-                    static_cast<unsigned long long>(
-                        s.stats().counter("resil.retries").value()),
-                    static_cast<unsigned long long>(
-                        s.stats().counter("resil.abandonedOps").value()));
+                        resil["abandonedOps"]));
     if (cfg.resil.nocFaultsEnabled())
         std::printf("noc resilience : %llu retransmits / %llu dedups / "
                     "%llu detour hops / %llu dead links / "
                     "%llu dead routers\n",
                     static_cast<unsigned long long>(
-                        s.stats().counter("noc.rel.retransmits").value()),
+                        resil["nocRetransmits"]),
+                    static_cast<unsigned long long>(resil["nocDedups"]),
+                    static_cast<unsigned long long>(resil["detourHops"]),
+                    static_cast<unsigned long long>(resil["deadLinks"]),
                     static_cast<unsigned long long>(
-                        s.stats().counter("noc.rel.dedups").value()),
-                    static_cast<unsigned long long>(
-                        s.stats().counter("noc.detourHops").value()),
-                    static_cast<unsigned long long>(
-                        s.stats().counter("noc.deadLinks").value()),
-                    static_cast<unsigned long long>(
-                        s.stats().counter("noc.deadRouters").value()));
+                        resil["deadRouters"]));
     if (cfg.resil.coreFaultsEnabled())
         std::printf("core faults    : %llu kills / %llu revocations / "
                     "%llu reconfigs / %llu fenced releases\n",
+                    static_cast<unsigned long long>(resil["coreKills"]),
                     static_cast<unsigned long long>(
-                        s.stats().counterValue("resil.coreKills")),
+                        resil["lockRevocations"]),
                     static_cast<unsigned long long>(
-                        s.stats().sumCountersSuffix(
-                            ".msa.lockRevocations")),
+                        resil["barrierReconfigs"]),
                     static_cast<unsigned long long>(
-                        s.stats().sumCountersSuffix(
-                            ".msa.barrierReconfigs")),
-                    static_cast<unsigned long long>(
-                        s.stats().sumCountersSuffix(
-                            ".msa.fencedReleases")));
+                        resil["fencedReleases"]));
     if (r.hasServer) {
         const srv::ServerStats &server_stats = r.server;
         std::printf("server         : offered %.2f/ktick, achieved "
@@ -577,8 +566,8 @@ main(int argc, char **argv)
     }
     std::printf("noc packets    : %llu (avg latency %.1f cycles)\n",
                 static_cast<unsigned long long>(
-                    s.stats().counter("noc.packetsSent").value()),
-                s.stats().average("noc.packetLatency").mean());
+                    s.stats().counterValue("noc.packetsSent")),
+                s.stats().pooledMean("noc.packetLatency"));
     if (!trace_path.empty())
         std::printf("trace          : %s\n", trace_path.c_str());
     if (!stats_json_path.empty())

@@ -108,7 +108,7 @@ Core::issue(const Op &op, OpAwaiter *aw, std::coroutine_handle<> h)
         eq.scheduleL(_lane, op.cycles, [this, t0, h] {
             if (_killed)
                 return; // the corpse never resumes
-            _trace.record(t0, eq.now(), "compute");
+            traceOp(t0, "compute");
             h.resume();
         });
         break;
@@ -119,7 +119,7 @@ Core::issue(const Op &op, OpAwaiter *aw, std::coroutine_handle<> h)
                            h](std::uint64_t v) {
             if (_killed)
                 return;
-            _trace.record(t0, eq.now(), "read", a);
+            traceOp(t0, "read", a);
             aw->result = v;
             h.resume();
         });
@@ -131,7 +131,7 @@ Core::issue(const Op &op, OpAwaiter *aw, std::coroutine_handle<> h)
                                       h](std::uint64_t old) {
             if (_killed)
                 return;
-            _trace.record(t0, eq.now(), "write", a);
+            traceOp(t0, "write", a);
             aw->result = old;
             h.resume();
         });
@@ -143,7 +143,7 @@ Core::issue(const Op &op, OpAwaiter *aw, std::coroutine_handle<> h)
                    [this, t0, a = op.addr, aw, h](std::uint64_t old) {
             if (_killed)
                 return;
-            _trace.record(t0, eq.now(), "atomic", a);
+            traceOp(t0, "atomic", a);
             aw->result = old;
             h.resume();
         });
@@ -174,9 +174,8 @@ Core::issue(const Op &op, OpAwaiter *aw, std::coroutine_handle<> h)
                 core.syncOutstanding = false;
                 if (core.progressCell)
                     ++*core.progressCell;
-                core._trace.record(t0, core.eq.now(),
-                                   syncInstrName(aw->op.instr),
-                                   aw->op.addr);
+                core.traceOp(t0, syncInstrName(aw->op.instr),
+                             aw->op.addr);
                 aw->result = static_cast<std::uint64_t>(r);
                 h.resume();
             });

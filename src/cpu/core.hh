@@ -14,7 +14,7 @@
 
 #include "cpu/op.hh"
 #include "mem/l1_cache.hh"
-#include "sim/trace.hh"
+#include "obs/tracer.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -133,6 +133,18 @@ class Core
      */
     void setProgressCell(std::uint64_t *cell) { progressCell = cell; }
 
+    /**
+     * Attach the observability tracer: every operation the thread
+     * executes (compute, memory access, sync instruction) becomes a
+     * slice on @p track, this hardware thread's trace row.
+     */
+    void
+    attachTracer(obs::Tracer *t, obs::TrackId track)
+    {
+        tracer = t;
+        _track = track;
+    }
+
     /** Begin executing @p body at the current tick. */
     void start(ThreadTask body);
 
@@ -164,8 +176,6 @@ class Core
 
     CoreId id() const { return _id; }
     EventQueue &eventQueue() { return eq; }
-    TraceBuffer &trace() { return _trace; }
-    const TraceBuffer &trace() const { return _trace; }
     mem::L1Cache &l1() { return _l1; }
     StatRegistry &statRegistry() { return stats; }
 
@@ -178,6 +188,14 @@ class Core
 
     void threadFinished();
 
+    /** Trace the operation issued at @p t0 that completes now. */
+    void
+    traceOp(Tick t0, const char *name, Addr addr = 0)
+    {
+        if (tracer)
+            tracer->complete(_track, t0, eq.now(), name, addr);
+    }
+
     EventQueue &eq;
     const CoreConfig &cfg;
     CoreId _id;
@@ -187,7 +205,8 @@ class Core
     std::string statPrefix;
     SyncUnit *syncUnit = nullptr;
 
-    TraceBuffer _trace;
+    obs::Tracer *tracer = nullptr;
+    obs::TrackId _track = 0;
     ThreadTask body;
     bool _started = false;
     bool _finished = false;

@@ -18,6 +18,91 @@
 namespace misar {
 namespace obs {
 
+namespace {
+
+/**
+ * One key of the "resilience" block and the stats it sums, in report
+ * order. A name starting with '.' is a per-tile suffix summed over
+ * every tile; any other name is one global counter.
+ */
+struct ResilienceKey
+{
+    const char *key;
+    const char *stats[4];
+};
+
+const ResilienceKey resilienceKeys[] = {
+    {"timeouts", {"resil.timeouts"}},
+    {"retries", {"resil.retries"}},
+    {"abandonedOps", {"resil.abandonedOps"}},
+    {"staleResponses", {"resil.staleResponses"}},
+    {"watchdogStalls", {"resil.watchdogStalls"}},
+    {"invariantViolations", {"resil.invariantViolations"}},
+    {"injectedDrops", {"resil.injectedDrops"}},
+    {"injectedDups", {"resil.injectedDups"}},
+    {"injectedDelays", {"resil.injectedDelays"}},
+    {"abortedOps", {"sync.abortedOps"}},
+    {"offlineEvents", {".msa.offlineEvents"}},
+    {"offlineSheds",
+     {".msa.offlineLockAborts", ".msa.offlineRwAborts",
+      ".msa.offlineBarrierAborts", ".msa.offlineCondAborts"}},
+    {"offlineDenied", {".msa.offlineDenied"}},
+    {"crossedSnoops", {".l1.crossedSnoops"}},
+    {"nocRetransmits", {"noc.rel.retransmits"}},
+    {"nocDedups", {"noc.rel.dedups"}},
+    {"nocAbandoned", {"noc.rel.abandoned"}},
+    {"flitsCorrupted", {"noc.pktsCorrupted"}},
+    {"detourHops", {"noc.detourHops"}},
+    {"deadLinks", {"noc.deadLinks"}},
+    {"deadRouters", {"noc.deadRouters"}},
+    {"partitionSheds", {"resil.partitionSheds"}},
+    {"coreKills", {"resil.coreKills"}},
+    {"deadDeclarations", {"resil.deadDeclarations"}},
+    {"lockRevocations", {".msa.lockRevocations"}},
+    {"barrierReconfigs", {".msa.barrierReconfigs"}},
+    {"fencedReleases", {".msa.fencedReleases"}},
+    {"leaseProbes", {".msa.leaseProbes"}},
+    {"leaseRenewals", {".msa.leaseRenewals"}},
+    {"deadWaiterDrops", {".msa.deadWaiterDrops"}},
+    {"failovers", {".msa.failovers"}},
+    {"rehomedVars", {".msa.rehomedVars"}},
+};
+
+} // namespace
+
+std::uint64_t
+ResilienceSummary::operator[](const std::string &key) const
+{
+    for (const auto &[k, v] : values)
+        if (key == k)
+            return v;
+    return 0;
+}
+
+ResilienceSummary
+resilienceSummary(const StatRegistry &stats)
+{
+    ResilienceSummary r;
+    for (const ResilienceKey &k : resilienceKeys) {
+        std::uint64_t v = 0;
+        for (const char *name : k.stats)
+            if (name)
+                v += name[0] == '.' ? stats.sumCountersSuffix(name)
+                                    : stats.counterValue(name);
+        r.values.emplace_back(k.key, v);
+    }
+    return r;
+}
+
+ResilienceSummary
+parseResilience(const util::Json &block)
+{
+    ResilienceSummary r;
+    for (const ResilienceKey &k : resilienceKeys)
+        r.values.emplace_back(k.key, block.at(k.key).uintOr(0));
+    return r;
+}
+
 void
 writeRunReport(std::ostream &os, const RunMeta &meta,
                const StatRegistry &stats, const SyncProfiler *prof,
@@ -47,46 +132,10 @@ writeRunReport(std::ostream &os, const RunMeta &meta,
     w.kv("hwCoverage", meta.hwCoverage, 6);
     w.endObject();
 
-    // -- resilience summary (PR 1 counters) --------------------------
+    // -- resilience summary ------------------------------------------
     w.key("resilience").beginObject();
-    w.kv("timeouts", stats.counterValue("resil.timeouts"));
-    w.kv("retries", stats.counterValue("resil.retries"));
-    w.kv("abandonedOps", stats.counterValue("resil.abandonedOps"));
-    w.kv("staleResponses", stats.counterValue("resil.staleResponses"));
-    w.kv("watchdogStalls", stats.counterValue("resil.watchdogStalls"));
-    w.kv("invariantViolations",
-         stats.counterValue("resil.invariantViolations"));
-    w.kv("injectedDrops", stats.counterValue("resil.injectedDrops"));
-    w.kv("injectedDups", stats.counterValue("resil.injectedDups"));
-    w.kv("injectedDelays", stats.counterValue("resil.injectedDelays"));
-    w.kv("abortedOps", stats.counterValue("sync.abortedOps"));
-    w.kv("offlineEvents", stats.sumCountersSuffix(".msa.offlineEvents"));
-    w.kv("offlineSheds",
-         stats.sumCountersSuffix(".msa.offlineLockAborts") +
-             stats.sumCountersSuffix(".msa.offlineRwAborts") +
-             stats.sumCountersSuffix(".msa.offlineBarrierAborts") +
-             stats.sumCountersSuffix(".msa.offlineCondAborts"));
-    w.kv("offlineDenied", stats.sumCountersSuffix(".msa.offlineDenied"));
-    w.kv("crossedSnoops", stats.sumCountersSuffix(".l1.crossedSnoops"));
-    w.kv("nocRetransmits", stats.counterValue("noc.rel.retransmits"));
-    w.kv("nocDedups", stats.counterValue("noc.rel.dedups"));
-    w.kv("nocAbandoned", stats.counterValue("noc.rel.abandoned"));
-    w.kv("flitsCorrupted", stats.counterValue("noc.pktsCorrupted"));
-    w.kv("detourHops", stats.counterValue("noc.detourHops"));
-    w.kv("deadLinks", stats.counterValue("noc.deadLinks"));
-    w.kv("deadRouters", stats.counterValue("noc.deadRouters"));
-    w.kv("partitionSheds", stats.counterValue("resil.partitionSheds"));
-    w.kv("coreKills", stats.counterValue("resil.coreKills"));
-    w.kv("deadDeclarations", stats.counterValue("resil.deadDeclarations"));
-    w.kv("lockRevocations", stats.sumCountersSuffix(".msa.lockRevocations"));
-    w.kv("barrierReconfigs",
-         stats.sumCountersSuffix(".msa.barrierReconfigs"));
-    w.kv("fencedReleases", stats.sumCountersSuffix(".msa.fencedReleases"));
-    w.kv("leaseProbes", stats.sumCountersSuffix(".msa.leaseProbes"));
-    w.kv("leaseRenewals", stats.sumCountersSuffix(".msa.leaseRenewals"));
-    w.kv("deadWaiterDrops", stats.sumCountersSuffix(".msa.deadWaiterDrops"));
-    w.kv("failovers", stats.sumCountersSuffix(".msa.failovers"));
-    w.kv("rehomedVars", stats.sumCountersSuffix(".msa.rehomedVars"));
+    for (const auto &[key, v] : resilienceSummary(stats).values)
+        w.kv(key, v);
     w.endObject();
 
     // -- full statistics registry ------------------------------------
@@ -107,18 +156,8 @@ writeRunReport(std::ostream &os, const RunMeta &meta,
         w.endObject();
     });
     w.endObject();
-    w.key("histograms").beginObject();
-    stats.forEachHistogram(
-        [&](const std::string &name, const StatHistogram &h) {
-            w.key(name).beginObject();
-            w.kv("total", h.total());
-            w.key("buckets").beginArray();
-            for (std::uint64_t b : h.data())
-                w.value(b);
-            w.endArray();
-            w.endObject();
-        });
-    w.endObject();
+    // Schema v1-v4 carry a "histograms" member; the registry has none.
+    w.key("histograms").beginObject().endObject();
     w.endObject();
 
     // -- sync-variable contention profile ----------------------------

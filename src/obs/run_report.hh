@@ -3,11 +3,10 @@
  * Machine-readable run report.
  *
  * One JSON document per simulation run: run metadata (configuration,
- * seed, termination reason), a resilience summary (PR 1's timeout /
- * retry / abort / offline-shed counters, so faulted runs diff
- * cleanly), the full StatRegistry, and the sync-variable contention
- * profile when the profiler ran. Schema documented in
- * docs/OBSERVABILITY.md.
+ * seed, termination reason), a resilience summary (every fault,
+ * recovery and degradation count, so faulted runs diff cleanly), the
+ * full StatRegistry, and the sync-variable contention profile when
+ * the profiler ran. Schema documented in docs/OBSERVABILITY.md.
  */
 
 #ifndef MISAR_OBS_RUN_REPORT_HH
@@ -16,6 +15,8 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -28,6 +29,10 @@ class EventQueue;
 namespace sys {
 class System;
 } // namespace sys
+
+namespace util {
+struct Json;
+} // namespace util
 
 namespace obs {
 
@@ -73,6 +78,27 @@ struct RunMeta
     Tick makespan = 0;
     double hwCoverage = 0.0;
 };
+
+/**
+ * The run report's "resilience" block: a run's fault, recovery and
+ * degradation counts as (key, value) pairs in report order. All zero
+ * on a fault-free run.
+ */
+struct ResilienceSummary
+{
+    std::vector<std::pair<const char *, std::uint64_t>> values;
+
+    /** Value of @p key; 0 when the summary lacks it. */
+    std::uint64_t operator[](const std::string &key) const;
+};
+
+/** Derive the "resilience" block from a run's registry (reads
+ *  without registering any counter). */
+ResilienceSummary resilienceSummary(const StatRegistry &stats);
+
+/** Read back a parsed report's "resilience" block; a key the report
+ *  lacks reads 0. */
+ResilienceSummary parseResilience(const util::Json &block);
 
 /**
  * Write the JSON run report. @p prof adds the "syncVars" top-N array

@@ -1,7 +1,6 @@
 #include "obs/sampler.hh"
 
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace misar {
 namespace obs {

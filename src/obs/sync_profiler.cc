@@ -5,7 +5,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "sim/trace.hh"
 #include "util/json.hh"
 
 namespace misar {

@@ -3,6 +3,7 @@
 #include <set>
 
 #include "sim/logging.hh"
+#include "util/json.hh"
 
 namespace misar {
 namespace obs {
@@ -102,7 +103,7 @@ Tracer::writeEvent(std::ostream &os, const Track &tr, const Ev &e) const
         if (e.kind == Ev::FlowEnd)
             os << ",\"bp\":\"e\"";
     }
-    os << ",\"name\":\"" << jsonEscape(e.name ? e.name : "") << "\"";
+    os << ",\"name\":\"" << util::jsonEscape(e.name ? e.name : "") << "\"";
     if (e.addr || e.hasValue) {
         os << ",\"args\":{";
         bool first = true;
@@ -119,8 +120,7 @@ Tracer::writeEvent(std::ostream &os, const Track &tr, const Ev &e) const
 }
 
 void
-Tracer::write(std::ostream &os,
-              const std::vector<const TraceBuffer *> &core_bufs) const
+Tracer::write(std::ostream &os) const
 {
     os << "{\"traceEvents\":[";
     bool first = true;
@@ -138,21 +138,10 @@ Tracer::write(std::ostream &os,
         sep();
         os << "{\"ph\":\"M\",\"pid\":" << pid
            << ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\""
-           << jsonEscape(name) << "\"}}";
+           << util::jsonEscape(name) << "\"}}";
     };
-    auto thread_name = [&](unsigned pid, unsigned tid,
-                           const std::string &name) {
-        sep();
-        os << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << tid
-           << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
-           << jsonEscape(name) << "\"}}";
-    };
-
+    std::set<unsigned> cores_named;
     process_name(pidCores, "cores");
-    for (std::size_t c = 0; c < core_bufs.size(); ++c)
-        if (core_bufs[c])
-            thread_name(pidCores, static_cast<unsigned>(c),
-                        "core " + std::to_string(c));
     for (const Track &tr : tracks) {
         switch (tr.pid) {
           case pidMsa:
@@ -164,29 +153,15 @@ Tracer::write(std::ostream &os,
           default:
             break;
         }
-        // Core-pid tracks reuse the per-core thread names above.
-        if (tr.pid != pidCores)
-            thread_name(tr.pid, tr.tid, tr.name);
-    }
-
-    // --- core op timelines (pid 0) ---
-    for (std::size_t tid = 0; tid < core_bufs.size(); ++tid) {
-        if (!core_bufs[tid])
+        if (tr.pid == pidCores && !cores_named.insert(tr.tid).second)
             continue;
-        for (const TraceEvent &e : core_bufs[tid]->data()) {
-            sep();
-            os << "{\"ph\":\"X\",\"pid\":" << pidCores
-               << ",\"tid\":" << tid << ",\"ts\":" << e.start
-               << ",\"dur\":" << (e.end - e.start) << ",\"name\":\""
-               << jsonEscape(e.name ? e.name : "") << "\"";
-            if (e.addr)
-                os << ",\"args\":{\"addr\":\"0x" << std::hex << e.addr
-                   << std::dec << "\"}";
-            os << "}";
-        }
+        sep();
+        os << "{\"ph\":\"M\",\"pid\":" << tr.pid << ",\"tid\":" << tr.tid
+           << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
+           << util::jsonEscape(tr.name) << "\"}}";
     }
 
-    // --- everything else ---
+    // --- events, track by track ---
     for (const Track &tr : tracks) {
         for (const Ev &e : tr.events) {
             sep();

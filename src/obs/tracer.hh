@@ -2,18 +2,20 @@
  * @file
  * Multi-component simulation tracer.
  *
- * Extends the per-core operation timelines (sim/trace.hh) to every
- * other component of the chip: MSA slice activity (allocations,
- * overflows, sheds, aborts, OMU counter transitions), NoC packet
- * delivery, and — most importantly — Chrome trace *flow events* that
- * stitch one synchronization operation end-to-end across components
- * (core issues LOCK -> request packet crosses the mesh -> slice
- * decides -> response -> core resumes).
+ * One recorder for every component of the chip: per-core operation
+ * timelines (compute, memory and sync instructions), MSA slice
+ * activity (allocations, overflows, sheds, aborts, OMU counter
+ * transitions), NoC packet delivery, and — most importantly — Chrome
+ * trace *flow events* that stitch one synchronization operation
+ * end-to-end across components (core issues LOCK -> request packet
+ * crosses the mesh -> slice decides -> response -> core resumes).
  *
  * The exported file is Chrome trace-event JSON ("catapult" format),
  * viewable in https://ui.perfetto.dev or chrome://tracing. Rows are
  * grouped by process: pid 0 = cores, pid 1 = MSA slices, pid 2 = NoC
  * interfaces; process_name / thread_name metadata labels every row.
+ * Ticks are written as microseconds, so 1 cycle is 1 "us" in the
+ * viewer.
  *
  * All recording is gated on construction: components hold a Tracer
  * pointer that is null when tracing is off, so a disabled build does
@@ -29,7 +31,6 @@
 #include <vector>
 
 #include "sim/stats.hh"
-#include "sim/trace.hh"
 #include "sim/types.hh"
 
 namespace misar {
@@ -46,7 +47,7 @@ using TrackId = unsigned;
 /** Phase of a cross-component flow (Chrome "s"/"t"/"f" events). */
 enum class FlowPhase : std::uint8_t { Start, Step, End };
 
-/** Central trace recorder for everything that is not a core op. */
+/** Central trace recorder for every component. */
 class Tracer
 {
   public:
@@ -90,11 +91,12 @@ class Tracer
     std::uint64_t dropped() const;
 
     /**
-     * Write the full Chrome trace: metadata, @p core_bufs as pid 0
-     * rows (one per hardware thread), then every registered track.
+     * Write the full Chrome trace: metadata, then every registered
+     * track's events in registration order. A core row (pid 0) is
+     * shared by several tracks and is named once, by the first track
+     * registered on it; every other track names its own row.
      */
-    void write(std::ostream &os,
-               const std::vector<const TraceBuffer *> &core_bufs) const;
+    void write(std::ostream &os) const;
 
   private:
     struct Ev

@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "sim/trace.hh" // jsonEscape
+#include "orch/json.hh"
 
 namespace misar {
 namespace orch {
@@ -54,24 +54,32 @@ tCrit95(unsigned df)
     return 1.96;
 }
 
+/** One aggregate as a {n, mean, ci95, min, max} member. */
 void
-writeAggJson(std::ostream &os, const std::string &name, const Agg &a,
-             int decimals)
+writeAgg(JsonWriter &w, const std::string &name, const Agg &a, int decimals)
 {
-    os << "\"" << name << "\":{\"n\":" << a.n << ",\"mean\":"
-       << fmt(a.mean(), decimals) << ",\"ci95\":"
-       << fmt(a.ci95(), decimals) << ",\"min\":" << fmt(a.mn, decimals)
-       << ",\"max\":" << fmt(a.mx, decimals) << "}";
+    w.key(name).beginObject();
+    w.kv("n", a.n);
+    w.kv("mean", a.mean(), decimals);
+    w.kv("ci95", a.ci95(), decimals);
+    w.kv("min", a.mn, decimals);
+    w.kv("max", a.mx, decimals);
+    w.endObject();
 }
 
 /** Percentile summary of a merged sync-wait histogram. */
 void
-writeHistJson(std::ostream &os, const obs::LogHistogram &h)
+writeHist(JsonWriter &w, const obs::LogHistogram &h)
 {
-    os << "{\"count\":" << h.count() << ",\"mean\":" << fmt(h.mean(), 3)
-       << ",\"p50\":" << h.p50() << ",\"p90\":" << h.p90()
-       << ",\"p99\":" << h.p99() << ",\"p999\":" << h.p999()
-       << ",\"max\":" << h.max() << "}";
+    w.beginObject();
+    w.kv("count", h.count());
+    w.kv("mean", h.mean(), 3);
+    w.kv("p50", h.p50());
+    w.kv("p90", h.p90());
+    w.kv("p99", h.p99());
+    w.kv("p999", h.p999());
+    w.kv("max", h.max());
+    w.endObject();
 }
 
 /** The fixed outcome emission order (determinism). */
@@ -271,128 +279,113 @@ CampaignReport::failures() const
 void
 CampaignReport::writeJson(std::ostream &os) const
 {
-    os << "{\"schemaVersion\":4,\"campaign\":\"" << jsonEscape(spec.name)
-       << "\",\"jobs\":" << records.size();
+    JsonWriter w(os);
+    w.beginObject();
+    w.kv("schemaVersion", 4);
+    w.kv("campaign", spec.name);
+    w.kv("jobs", std::uint64_t(records.size()));
 
-    os << ",\"outcomes\":{";
-    for (std::size_t i = 0; i < std::size(outcomeOrder); ++i)
-        os << (i ? "," : "") << "\"" << jobOutcomeName(outcomeOrder[i])
-           << "\":" << outcomeCount(outcomeOrder[i]);
-    os << "}";
+    w.key("outcomes").beginObject();
+    for (JobOutcome o : outcomeOrder)
+        w.kv(jobOutcomeName(o), outcomeCount(o));
+    w.endObject();
 
-    os << ",\"cells\":[";
-    bool firstCell = true;
+    w.key("cells").beginArray();
     for (const Cell &c : _cells) {
-        os << (firstCell ? "" : ",");
-        firstCell = false;
-        os << "{\"preset\":\"" << jsonEscape(c.preset) << "\",\"app\":\""
-           << jsonEscape(c.app) << "\",\"cores\":" << c.cores;
+        w.beginObject();
+        w.kv("preset", c.preset);
+        w.kv("app", c.app);
+        w.kv("cores", c.cores);
         if (c.arrivalRate > 0)
-            os << ",\"arrivalRate\":" << formatRate(c.arrivalRate);
+            w.key("arrivalRate").rawValue(formatRate(c.arrivalRate));
         if (!c.retryPolicy.empty())
-            os << ",\"retryPolicy\":\"" << jsonEscape(c.retryPolicy)
-               << "\"";
+            w.kv("retryPolicy", c.retryPolicy);
         if (!c.tenantMix.empty())
-            os << ",\"tenantMix\":\"" << jsonEscape(c.tenantMix) << "\"";
-        os << ",\"jobs\":" << c.jobs << ",\"outcomes\":{";
-        bool first = true;
+            w.kv("tenantMix", c.tenantMix);
+        w.kv("jobs", c.jobs);
+        w.key("outcomes").beginObject();
         for (JobOutcome o : outcomeOrder) {
             auto it = c.outcomes.find(jobOutcomeName(o));
-            if (it == c.outcomes.end())
-                continue;
-            os << (first ? "" : ",") << "\"" << it->first
-               << "\":" << it->second;
-            first = false;
+            if (it != c.outcomes.end())
+                w.kv(it->first, it->second);
         }
-        os << "},";
-        writeAggJson(os, "makespan", c.makespan, 3);
-        os << ",";
-        writeAggJson(os, "hwCoverage", c.hwCoverage, 6);
-        if (!spec.baseline.empty() && c.preset != spec.baseline) {
-            os << ",";
-            writeAggJson(os, "speedup", c.speedup, 6);
-        }
+        w.endObject();
+        writeAgg(w, "makespan", c.makespan, 3);
+        writeAgg(w, "hwCoverage", c.hwCoverage, 6);
+        if (!spec.baseline.empty() && c.preset != spec.baseline)
+            writeAgg(w, "speedup", c.speedup, 6);
         if (!spec.stats.empty()) {
-            os << ",\"stats\":{";
-            bool fs = true;
+            w.key("stats").beginObject();
             for (const std::string &s : spec.stats) {
                 auto it = c.counters.find(s);
                 static const Agg empty;
-                os << (fs ? "" : ",");
-                writeAggJson(os, jsonEscape(s),
-                             it == c.counters.end() ? empty : it->second,
-                             3);
-                fs = false;
+                writeAgg(w, s, it == c.counters.end() ? empty : it->second,
+                         3);
             }
-            os << "}";
+            w.endObject();
         }
         if (!c.syncWait.empty()) {
-            os << ",\"syncWait\":";
-            writeHistJson(os, c.syncWait);
+            w.key("syncWait");
+            writeHist(w, c.syncWait);
         }
         if (c.overflowEvents.n) {
-            os << ",\"pressure\":{\"jobs\":" << c.overflowEvents.n << ",";
-            writeAggJson(os, "overflowEvents", c.overflowEvents, 3);
-            os << ",";
-            writeAggJson(os, "omuEpisodes", c.omuEpisodes, 3);
-            os << ",";
-            writeAggJson(os, "omuEpisodeTicks", c.omuEpisodeTicks, 3);
-            os << ",";
-            writeAggJson(os, "omuHighWater", c.omuHighWater, 3);
-            os << ",";
-            writeAggJson(os, "maxSliceOccupancy", c.maxSliceOccupancy, 3);
-            os << ",";
-            writeAggJson(os, "maxNiQueueDepth", c.maxNiQueueDepth, 3);
-            os << "}";
+            w.key("pressure").beginObject();
+            w.kv("jobs", c.overflowEvents.n);
+            writeAgg(w, "overflowEvents", c.overflowEvents, 3);
+            writeAgg(w, "omuEpisodes", c.omuEpisodes, 3);
+            writeAgg(w, "omuEpisodeTicks", c.omuEpisodeTicks, 3);
+            writeAgg(w, "omuHighWater", c.omuHighWater, 3);
+            writeAgg(w, "maxSliceOccupancy", c.maxSliceOccupancy, 3);
+            writeAgg(w, "maxNiQueueDepth", c.maxNiQueueDepth, 3);
+            w.endObject();
         }
         if (c.srvJobs) {
-            os << ",\"server\":{\"jobs\":" << c.srvJobs << ",";
-            writeAggJson(os, "throughput", c.srvThroughput, 6);
-            os << ",";
-            writeAggJson(os, "goodput", c.srvGoodput, 6);
-            os << ",";
-            writeAggJson(os, "rejected", c.srvRejected, 3);
-            os << ",";
-            writeAggJson(os, "rejectedSlo", c.srvRejectedSlo, 3);
-            os << ",";
-            writeAggJson(os, "retries", c.srvRetries, 3);
-            os << ",";
-            writeAggJson(os, "stranded", c.srvStranded, 3);
-            os << ",\"knee\":" << c.srvKnee << ",\"latency\":";
-            writeHistJson(os, c.srvLatency);
+            w.key("server").beginObject();
+            w.kv("jobs", c.srvJobs);
+            writeAgg(w, "throughput", c.srvThroughput, 6);
+            writeAgg(w, "goodput", c.srvGoodput, 6);
+            writeAgg(w, "rejected", c.srvRejected, 3);
+            writeAgg(w, "rejectedSlo", c.srvRejectedSlo, 3);
+            writeAgg(w, "retries", c.srvRetries, 3);
+            writeAgg(w, "stranded", c.srvStranded, 3);
+            w.kv("knee", c.srvKnee);
+            w.key("latency");
+            writeHist(w, c.srvLatency);
             if (c.srvTenantJobs) {
-                os << ",\"tenants\":{\"jobs\":" << c.srvTenantJobs
-                   << ",\"hi\":{";
-                writeAggJson(os, "goodput", c.srvHiGoodput, 6);
-                os << ",";
-                writeAggJson(os, "rejected", c.srvHiRejected, 3);
-                os << ",\"latency\":";
-                writeHistJson(os, c.srvHiLatency);
-                os << "},\"lo\":{";
-                writeAggJson(os, "goodput", c.srvLoGoodput, 6);
-                os << ",";
-                writeAggJson(os, "rejected", c.srvLoRejected, 3);
-                os << ",\"latency\":";
-                writeHistJson(os, c.srvLoLatency);
-                os << "}}";
+                w.key("tenants").beginObject();
+                w.kv("jobs", c.srvTenantJobs);
+                w.key("hi").beginObject();
+                writeAgg(w, "goodput", c.srvHiGoodput, 6);
+                writeAgg(w, "rejected", c.srvHiRejected, 3);
+                w.key("latency");
+                writeHist(w, c.srvHiLatency);
+                w.endObject();
+                w.key("lo").beginObject();
+                writeAgg(w, "goodput", c.srvLoGoodput, 6);
+                writeAgg(w, "rejected", c.srvLoRejected, 3);
+                w.key("latency");
+                writeHist(w, c.srvLoLatency);
+                w.endObject();
+                w.endObject();
             }
-            os << "}";
+            w.endObject();
         }
-        os << "}";
+        w.endObject();
     }
-    os << "]";
+    w.endArray();
 
-    os << ",\"failures\":[";
-    bool firstFail = true;
+    w.key("failures").beginArray();
     for (const JobRecord *r : failures()) {
-        os << (firstFail ? "" : ",");
-        firstFail = false;
-        os << "{\"job\":" << r->job.id << ",\"key\":\""
-           << jsonEscape(r->job.key()) << "\",\"outcome\":\""
-           << jobOutcomeName(r->outcome) << "\",\"log\":\""
-           << jsonEscape(r->note) << "\"}";
+        w.beginObject();
+        w.kv("job", r->job.id);
+        w.kv("key", r->job.key());
+        w.kv("outcome", jobOutcomeName(r->outcome));
+        w.kv("log", r->note);
+        w.endObject();
     }
-    os << "]}\n";
+    w.endArray();
+    w.endObject();
+    os << "\n";
 }
 
 void

@@ -306,12 +306,7 @@ ingestReport(JobRecord &r, const CampaignSpec &spec, const Json &doc)
     r.silentLocks = counterOf(counters, "sync.silentLocks");
     for (const std::string &s : spec.stats)
         r.counters[s] = counterOf(counters, s);
-    const Json &resil = doc.at("resilience");
-    r.timeouts = resil.at("timeouts").uintOr(0);
-    r.retries = resil.at("retries").uintOr(0);
-    r.abortedOps = resil.at("abortedOps").uintOr(0);
-    r.offlineSheds = resil.at("offlineSheds").uintOr(0);
-    r.crossedSnoops = resil.at("crossedSnoops").uintOr(0);
+    r.resilience = obs::parseResilience(doc.at("resilience"));
     // Schema v2 blocks; absent in v1 reports (fields stay zeroed).
     if (doc.has("latency"))
         obs::LogHistogram::fromJson(doc.at("latency").at("syncWait"),

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "obs/histogram.hh"
+#include "obs/run_report.hh"
 #include "orch/campaign_spec.hh"
 #include "sim/config.hh"
 #include "sim/types.hh"
@@ -87,13 +88,8 @@ struct JobRecord
     std::uint64_t swOps = 0;
     std::uint64_t silentLocks = 0;
 
-    /** @name Resilience summary (run report "resilience" block). @{ */
-    std::uint64_t timeouts = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t abortedOps = 0;
-    std::uint64_t offlineSheds = 0;
-    std::uint64_t crossedSnoops = 0;
-    /** @} */
+    /** The run report's "resilience" block. */
+    obs::ResilienceSummary resilience;
 
     /** Spec-selected StatRegistry counters. */
     std::map<std::string, std::uint64_t> counters;

@@ -10,7 +10,6 @@
 
 #include "orch/json.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh" // jsonEscape
 
 namespace misar {
 namespace orch {
@@ -43,7 +42,7 @@ Manifest::open(const std::string &path, const std::string &campaign,
     if (fresh) {
         std::ostringstream os;
         os << "{\"manifest\":" << version << ",\"campaign\":\""
-           << jsonEscape(campaign) << "\",\"jobs\":" << jobs
+           << util::jsonEscape(campaign) << "\",\"jobs\":" << jobs
            << ",\"gridHash\":\"" << hashHex(gridHash) << "\"}\n";
         const std::string line = os.str();
         if (::write(fd, line.data(), line.size()) !=
@@ -60,13 +59,13 @@ Manifest::append(const ManifestEntry &e)
     if (fd < 0)
         return false;
     std::ostringstream os;
-    os << "{\"job\":" << e.job << ",\"key\":\"" << jsonEscape(e.key)
-       << "\",\"outcome\":\"" << jsonEscape(e.outcome)
+    os << "{\"job\":" << e.job << ",\"key\":\"" << util::jsonEscape(e.key)
+       << "\",\"outcome\":\"" << util::jsonEscape(e.outcome)
        << "\",\"exit\":" << e.exitCode << ",\"signal\":" << e.termSignal
        << ",\"attempts\":" << e.attempts << ",\"wallSec\":";
     char wall[32];
     std::snprintf(wall, sizeof(wall), "%.3f", e.wallSec);
-    os << wall << ",\"report\":\"" << jsonEscape(e.report) << "\"}\n";
+    os << wall << ",\"report\":\"" << util::jsonEscape(e.report) << "\"}\n";
     const std::string line = os.str();
     if (::write(fd, line.data(), line.size()) !=
         static_cast<ssize_t>(line.size()))

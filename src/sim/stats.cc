@@ -1,31 +1,8 @@
 #include "sim/stats.hh"
 
-#include <algorithm>
 #include <iomanip>
 
 namespace misar {
-
-void
-StatHistogram::sample(std::uint64_t v)
-{
-    unsigned b = 0;
-    while (v > 1 && b + 1 < buckets.size()) {
-        v >>= 1;
-        ++b;
-    }
-    ++buckets[b];
-    ++_total;
-}
-
-void
-StatHistogram::merge(const StatHistogram &o)
-{
-    if (o.buckets.size() > buckets.size())
-        buckets.resize(o.buckets.size(), 0);
-    for (std::size_t i = 0; i < o.buckets.size(); ++i)
-        buckets[i] += o.buckets[i];
-    _total += o._total;
-}
 
 std::uint64_t
 StatRegistry::counterValue(const std::string &name) const
@@ -92,15 +69,6 @@ StatRegistry::forEachAverage(
 }
 
 void
-StatRegistry::forEachHistogram(
-    const std::function<void(const std::string &, const StatHistogram &)>
-        &fn) const
-{
-    for (const auto &[name, h] : histograms)
-        fn(name, h);
-}
-
-void
 StatRegistry::dump(std::ostream &os) const
 {
     for (const auto &[name, c] : counters)
@@ -109,13 +77,6 @@ StatRegistry::dump(std::ostream &os) const
         os << name << " mean=" << std::fixed << std::setprecision(2)
            << a.mean() << " count=" << a.count() << " min=" << a.min()
            << " max=" << a.max() << "\n";
-    }
-    for (const auto &[name, h] : histograms) {
-        os << name << " total=" << h.total() << " buckets=[";
-        const auto &b = h.data();
-        for (std::size_t i = 0; i < b.size(); ++i)
-            os << (i ? "," : "") << b[i];
-        os << "]\n";
     }
 }
 
@@ -126,8 +87,6 @@ StatRegistry::mergeFrom(const StatRegistry &o)
         counters[name].inc(c.value());
     for (const auto &[name, a] : o.averages)
         averages[name].merge(a);
-    for (const auto &[name, h] : o.histograms)
-        histograms[name].merge(h);
 }
 
 void
@@ -137,8 +96,6 @@ StatRegistry::reset()
         c.reset();
     for (auto &[name, a] : averages)
         a.reset();
-    for (auto &[name, h] : histograms)
-        h.reset();
 }
 
 } // namespace misar

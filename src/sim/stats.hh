@@ -2,8 +2,8 @@
  * @file
  * Lightweight statistics package.
  *
- * Components register named scalar counters, averages, and histograms
- * in a StatRegistry; harnesses query and dump them after simulation.
+ * Components register named scalar counters and averages in a
+ * StatRegistry; harnesses query and dump them after simulation.
  */
 
 #ifndef MISAR_SIM_STATS_HH
@@ -14,7 +14,6 @@
 #include <map>
 #include <ostream>
 #include <string>
-#include <vector>
 
 namespace misar {
 
@@ -87,42 +86,6 @@ class StatAverage
     double _max = 0.0;
 };
 
-/** Fixed-bucket histogram (power-of-two buckets by default). */
-class StatHistogram
-{
-  public:
-    explicit StatHistogram(unsigned num_buckets = 20)
-        : buckets(num_buckets, 0)
-    {}
-
-    /** Record @p v into its log2 bucket. */
-    void sample(std::uint64_t v);
-
-    const std::vector<std::uint64_t> &data() const { return buckets; }
-    std::uint64_t total() const { return _total; }
-
-    /** Bucket-wise accumulate (grows to the wider bucket count). */
-    void merge(const StatHistogram &o);
-
-    /** Smallest value that lands in bucket @p b (0, 2, 4, 8, ...). */
-    static std::uint64_t
-    bucketLow(unsigned b)
-    {
-        return b == 0 ? 0 : (std::uint64_t{1} << b);
-    }
-
-    void
-    reset()
-    {
-        std::fill(buckets.begin(), buckets.end(), 0);
-        _total = 0;
-    }
-
-  private:
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t _total = 0;
-};
-
 /**
  * Registry of named statistics.
  *
@@ -134,10 +97,6 @@ class StatRegistry
   public:
     StatCounter &counter(const std::string &name) { return counters[name]; }
     StatAverage &average(const std::string &name) { return averages[name]; }
-    StatHistogram &histogram(const std::string &name)
-    {
-        return histograms[name];
-    }
 
     /** Value of counter @p name, or 0 if it was never touched. */
     std::uint64_t counterValue(const std::string &name) const;
@@ -161,9 +120,6 @@ class StatRegistry
     void forEachAverage(
         const std::function<void(const std::string &,
                                  const StatAverage &)> &fn) const;
-    void forEachHistogram(
-        const std::function<void(const std::string &,
-                                 const StatHistogram &)> &fn) const;
     /** @} */
 
     /** Dump everything, sorted by name. */
@@ -171,7 +127,7 @@ class StatRegistry
 
     /**
      * Accumulate every stat from @p o into this registry (counters
-     * add, averages fold sample moments, histograms add bucket-wise).
+     * add, averages fold sample moments).
      * Used to collapse per-tile shards into the global registry after
      * a threaded run; the result is independent of merge order.
      */
@@ -182,7 +138,6 @@ class StatRegistry
   private:
     std::map<std::string, StatCounter> counters;
     std::map<std::string, StatAverage> averages;
-    std::map<std::string, StatHistogram> histograms;
 };
 
 } // namespace misar

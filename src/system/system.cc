@@ -253,9 +253,13 @@ System::applyObservability()
 
     if (o.traceEnabled) {
         _tracer = std::make_unique<obs::Tracer>(_stats, o.traceMaxEvents);
-        enableTracing();
-        for (auto &c : cores)
-            c->trace().setCap(o.traceMaxEvents);
+        // One op row per hardware thread, registered first: these
+        // tracks name the core rows and lead the trace.
+        for (CoreId c = 0; c < cores.size(); ++c)
+            cores[c]->attachTracer(
+                _tracer.get(),
+                _tracer->addTrack(obs::pidCores, c,
+                                  "core " + std::to_string(c)));
         if (o.traceNoc) {
             for (CoreId t = 0; t < cfg.numCores; ++t) {
                 obs::TrackId tk = _tracer->addTrack(
@@ -476,22 +480,10 @@ System::makespan() const
 }
 
 void
-System::enableTracing()
-{
-    for (auto &c : cores)
-        c->trace().setEnabled(true);
-}
-
-void
 System::writeTrace(std::ostream &os) const
 {
-    std::vector<const TraceBuffer *> bufs;
-    for (auto &c : cores)
-        bufs.push_back(&c->trace());
     if (_tracer)
-        _tracer->write(os, bufs);
-    else
-        writeChromeTrace(os, bufs);
+        _tracer->write(os);
 }
 
 std::string

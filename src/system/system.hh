@@ -160,14 +160,10 @@ class System
     std::uint64_t liveSuffixSum(const std::string &suffix) const;
     /** @} */
 
-    /** Enable per-core operation tracing (see sim/trace.hh). */
-    void enableTracing();
-
     /**
-     * Write the trace as Chrome trace-event JSON. With the obs layer
-     * enabled (cfg.obs.traceEnabled) this is the full multi-component
-     * trace (cores + MSA slices + NoC, with sync flows); otherwise it
-     * is the legacy per-core-only timeline.
+     * Write the multi-component trace (cores + MSA slices + NoC, with
+     * sync flows) as Chrome trace-event JSON; nothing unless
+     * cfg.obs.traceEnabled.
      */
     void writeTrace(std::ostream &os) const;
 

@@ -6,10 +6,50 @@
 #include <fstream>
 #include <sstream>
 
-#include "sim/trace.hh" // jsonEscape
-
 namespace misar {
 namespace util {
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (unsigned char c : s) {
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\b':
+            out += "\\b";
+            break;
+          case '\f':
+            out += "\\f";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\r':
+            out += "\\r";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default:
+            if (c < 0x20) {
+                static const char *hex = "0123456789abcdef";
+                out += "\\u00";
+                out += hex[(c >> 4) & 0xf];
+                out += hex[c & 0xf];
+            } else {
+                out += static_cast<char>(c);
+            }
+        }
+    }
+    return out;
+}
 
 const Json &
 Json::at(const std::string &key) const

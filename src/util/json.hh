@@ -4,13 +4,15 @@
  * deterministic streaming writer.
  *
  * Everything in the repo that reads JSON (campaign specs, per-job run
- * reports, manifest lines) parses through Json/parseJson; everything
- * that writes machine-readable JSON (run reports, profiler dumps,
- * campaign reports, heatmaps, status files) emits through JsonWriter,
- * so escaping and number formatting cannot drift between emitters.
- * JsonWriter formats doubles with an explicit fixed decimal count
- * (never %g, never locale-dependent) because several consumers
- * byte-compare reports across worker counts and resume boundaries.
+ * reports, manifest lines) parses through Json/parseJson; the run
+ * reports, profiler dumps, campaign reports, heatmaps and status files
+ * emit through JsonWriter, so escaping and number formatting cannot
+ * drift between them. The two other JSON emitters, tracer events and
+ * manifest lines, write their text directly and escape every string
+ * with jsonEscape(), the escaping JsonWriter applies. JsonWriter
+ * formats doubles with an explicit fixed decimal count (never %g,
+ * never locale-dependent) because several consumers byte-compare
+ * reports across worker counts and resume boundaries.
  * The parser accepts exactly the JSON we emit plus ordinary
  * hand-written specs: objects, arrays, strings with the standard
  * escapes, finite numbers, booleans and null.
@@ -74,6 +76,9 @@ struct Json
     /** This value as a bool, or @p def when not a bool. */
     bool boolOr(bool def) const { return kind == Bool ? boolean : def; }
 };
+
+/** Escape @p s for embedding inside a JSON string literal. */
+std::string jsonEscape(const std::string &s);
 
 /**
  * Parse @p text. On failure returns a Null value and, when @p err is

@@ -35,16 +35,6 @@ buildMeta(const AppSpec &spec, const SystemConfig &cfg,
     return meta;
 }
 
-/** Sum of the per-slice offline-shed abort counters. */
-std::uint64_t
-offlineShedCount(const StatRegistry &st)
-{
-    return st.sumCountersSuffix(".msa.offlineLockAborts") +
-           st.sumCountersSuffix(".msa.offlineRwAborts") +
-           st.sumCountersSuffix(".msa.offlineBarrierAborts") +
-           st.sumCountersSuffix(".msa.offlineCondAborts");
-}
-
 /** Write @p write's output to @p path; fatal() when it cannot. */
 template <typename Write>
 void
@@ -75,7 +65,7 @@ writeObsOutputs(sys::System &s, const AppSpec &spec,
     if (!o.heatmapJsonPath.empty() && s.monitor())
         writeOutput(o.heatmapJsonPath, "heatmap",
                     [&](std::ostream &f) { s.monitor()->writeJson(f); });
-    if (!o.traceOutPath.empty())
+    if (!o.traceOutPath.empty() && s.tracer())
         writeOutput(o.traceOutPath, "trace",
                     [&](std::ostream &f) { s.writeTrace(f); });
     if (!o.sampleCsvPath.empty() && s.sampler())
@@ -157,29 +147,10 @@ runAppWithConfig(const AppSpec &spec, const SystemConfig &cfg,
     r.hwOps = s.stats().counterValue("sync.hwOps");
     r.swOps = s.stats().counterValue("sync.swOps");
     r.silentLocks = s.stats().counterValue("sync.silentLocks");
-    r.timeouts = s.stats().counterValue("resil.timeouts");
-    r.retries = s.stats().counterValue("resil.retries");
-    r.abortedOps = s.stats().counterValue("sync.abortedOps");
-    r.offlineSheds = offlineShedCount(s.stats());
-    r.crossedSnoops = s.stats().sumCountersSuffix(".l1.crossedSnoops");
-    r.nocRetransmits = s.stats().counterValue("noc.rel.retransmits");
-    r.nocDedups = s.stats().counterValue("noc.rel.dedups");
-    r.detourHops = s.stats().counterValue("noc.detourHops");
-    r.deadLinks = s.stats().counterValue("noc.deadLinks");
-    r.partitionSheds = s.stats().counterValue("resil.partitionSheds");
-    r.coreKills = s.stats().counterValue("resil.coreKills");
-    r.lockRevocations =
-        s.stats().sumCountersSuffix(".msa.lockRevocations");
-    r.barrierReconfigs =
-        s.stats().sumCountersSuffix(".msa.barrierReconfigs");
-    r.fencedReleases =
-        s.stats().sumCountersSuffix(".msa.fencedReleases");
-    r.rehomedVars = s.stats().sumCountersSuffix(".msa.rehomedVars");
+    r.resilience = obs::resilienceSummary(s.stats());
     if (opts.captureCounters)
         for (const std::string &name : *opts.captureCounters)
             r.captured[name] = s.stats().counterValue(name);
-    if (s.syncProfiler())
-        r.syncWait = s.syncProfiler()->overallWait();
     if (harness) {
         r.hasServer = true;
         r.server = harness->finalize(r.makespan);
@@ -187,16 +158,6 @@ runAppWithConfig(const AppSpec &spec, const SystemConfig &cfg,
 
     writeObsOutputs(s, spec, preset, flavor, seed, r,
                     r.hasServer ? &r.server : nullptr, opts.report);
-    if (const obs::ResourceMonitor *m = s.monitor()) {
-        // After writeObsOutputs: finalize() has closed open episodes.
-        r.hasPressure = true;
-        r.overflowEvents = m->overflowEvents();
-        r.omuEpisodes = m->omuEpisodes().size();
-        r.omuEpisodeTicks = m->omuEpisodeTicks();
-        r.omuHighWater = m->omuHighWater();
-        r.maxSliceOccupancy = m->maxOfKind("msaOccupancy");
-        r.maxNiQueueDepth = m->maxOfKind("niQueue");
-    }
     if (guard)
         guard->disarm();
     if (opts.system)

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/histogram.hh"
+#include "obs/run_report.hh"
 #include "system/presets.hh"
 #include "system/system.hh"
 #include "workload/synthetic_app.hh"
@@ -32,56 +32,11 @@ struct RunResult
     /** Why the run stopped (deadlock vs tick-budget exhaustion). */
     sys::RunOutcome outcome = sys::RunOutcome::LimitReached;
 
-    /** @name Resilience summary (non-zero only on faulted runs). @{ */
-    std::uint64_t timeouts = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t abortedOps = 0;
-    /** Waiters shed to software by an offline (decommissioned) slice. */
-    std::uint64_t offlineSheds = 0;
-    /** L1 snoops that crossed a silently-held lock block. */
-    std::uint64_t crossedSnoops = 0;
-    /** NI end-to-end retransmissions (lost/corrupted packets). */
-    std::uint64_t nocRetransmits = 0;
-    /** Duplicate packets absorbed by the NI receive sequencer. */
-    std::uint64_t nocDedups = 0;
-    /** Extra hops taken by packets routed around dead links. */
-    std::uint64_t detourHops = 0;
-    /** Mesh links killed by the NoC fault injector. */
-    std::uint64_t deadLinks = 0;
-    /** MSA slices shed because their tile became unreachable. */
-    std::uint64_t partitionSheds = 0;
-    /** Cores halted dead by the participant fault injector. */
-    std::uint64_t coreKills = 0;
-    /** Hardware grants revoked from dead holders (lease expiry or
-     *  dead-core declaration). */
-    std::uint64_t lockRevocations = 0;
-    /** Per-slice barrier membership reconfigurations after a dead
-     *  declaration. */
-    std::uint64_t barrierReconfigs = 0;
-    /** Stale releases fenced by the variable-epoch check. */
-    std::uint64_t fencedReleases = 0;
-    /** Variables re-homed to a buddy slice by the failover handoff. */
-    std::uint64_t rehomedVars = 0;
-    /** @} */
+    /** The run report's "resilience" block. */
+    obs::ResilienceSummary resilience;
 
     /** Counters requested via RunOptions::captureCounters. */
     std::map<std::string, std::uint64_t> captured;
-
-    /**
-     * Run-level sync-wait distribution (every acquire-class op, all
-     * variables). Empty unless cfg.obs.profileSync was enabled.
-     */
-    obs::LogHistogram syncWait;
-
-    /** @name Resource-pressure summary (cfg.obs.heatmapEnabled). @{ */
-    bool hasPressure = false;
-    std::uint64_t overflowEvents = 0;
-    std::uint64_t omuEpisodes = 0;
-    std::uint64_t omuEpisodeTicks = 0;
-    std::uint64_t omuHighWater = 0;
-    double maxSliceOccupancy = 0.0;
-    double maxNiQueueDepth = 0.0;
-    /** @} */
 
     /** @name Server-run accounting (spec.server.enabled only). @{ */
     bool hasServer = false;

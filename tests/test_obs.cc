@@ -1,11 +1,12 @@
 /**
  * @file
- * Observability-layer tests: statistics edge cases, trace-buffer
- * bounding, the periodic sampler, JSON well-formedness of the Chrome
- * trace and the machine-readable run report (validated with a small
- * in-test JSON parser), end-to-end sync-flow linkage across the
- * core / MSA-slice / NoC tracks, and the inertness guarantee (the
- * whole layer off or on must not move a single simulated cycle).
+ * Observability-layer tests: statistics edge cases, tracer bounding
+ * (core op rows included), the periodic sampler, JSON
+ * well-formedness of the Chrome trace and the machine-readable run
+ * report (validated with a small in-test JSON parser), end-to-end
+ * sync-flow linkage across the core / MSA-slice / NoC tracks, and
+ * the inertness guarantee (the whole layer off or on must not move a
+ * single simulated cycle).
  */
 
 #include <gtest/gtest.h>
@@ -24,9 +25,9 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
-#include "sim/trace.hh"
 #include "sync/sync_lib.hh"
 #include "system/system.hh"
+#include "util/json.hh"
 #include "workload/app_catalog.hh"
 #include "workload/synthetic_app.hh"
 
@@ -303,33 +304,6 @@ TEST(StatAverage, ResetRestoresEmptyState)
     EXPECT_DOUBLE_EQ(a.max(), 100.0);
 }
 
-TEST(StatHistogram, EmptyAndSingle)
-{
-    StatHistogram h(8);
-    EXPECT_EQ(h.total(), 0u);
-    h.sample(5); // log2 bucket: [4, 8)
-    EXPECT_EQ(h.total(), 1u);
-    std::uint64_t in_buckets = 0;
-    for (std::uint64_t b : h.data())
-        in_buckets += b;
-    EXPECT_EQ(in_buckets, 1u);
-    EXPECT_EQ(StatHistogram::bucketLow(0), 0u);
-    EXPECT_EQ(StatHistogram::bucketLow(1), 2u);
-    EXPECT_EQ(StatHistogram::bucketLow(3), 8u);
-}
-
-TEST(StatHistogram, ResetClearsBucketsAndTotal)
-{
-    StatHistogram h(4);
-    for (std::uint64_t v : {0u, 1u, 100u, 100000u})
-        h.sample(v);
-    EXPECT_EQ(h.total(), 4u);
-    h.reset();
-    EXPECT_EQ(h.total(), 0u);
-    for (std::uint64_t b : h.data())
-        EXPECT_EQ(b, 0u);
-}
-
 TEST(StatRegistry, CounterValueOfUntouchedCounterIsZeroAndNonCreating)
 {
     StatRegistry r;
@@ -345,46 +319,24 @@ TEST(StatRegistry, CounterValueOfUntouchedCounterIsZeroAndNonCreating)
     EXPECT_FALSE(saw_phantom);
 }
 
-// --- TraceBuffer bounding -------------------------------------------------
-
-TEST(TraceBuffer, CapDropsAndCounts)
-{
-    TraceBuffer b;
-    b.setEnabled(true);
-    b.setCap(2);
-    b.record(0, 1, "a");
-    b.record(1, 2, "b");
-    b.record(2, 3, "c");
-    b.record(3, 4, "d");
-    EXPECT_EQ(b.data().size(), 2u);
-    EXPECT_EQ(b.dropped(), 2u);
-}
-
-TEST(TraceBuffer, DisabledRecordsNothing)
-{
-    TraceBuffer b;
-    b.record(0, 1, "a");
-    EXPECT_TRUE(b.data().empty());
-    EXPECT_EQ(b.dropped(), 0u);
-}
-
 TEST(JsonEscapeFn, EscapesQuotesBackslashesAndControls)
 {
-    EXPECT_EQ(jsonEscape("plain"), "plain");
-    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
-    EXPECT_EQ(jsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
+    EXPECT_EQ(util::jsonEscape("plain"), "plain");
+    EXPECT_EQ(util::jsonEscape("a\"b"), "a\\\"b");
+    EXPECT_EQ(util::jsonEscape("a\\b"), "a\\\\b");
+    EXPECT_EQ(util::jsonEscape("a\nb"), "a\\nb");
+    EXPECT_EQ(util::jsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
 }
 
 TEST(ChromeTrace, OutputParsesAndCarriesMetadata)
 {
-    TraceBuffer b;
-    b.setEnabled(true);
-    b.record(10, 20, "LOCK", 0x1000);
-    b.record(20, 30, "compute \"x\\y\""); // hostile label
+    StatRegistry stats;
+    obs::Tracer tr(stats, 16);
+    const obs::TrackId core = tr.addTrack(obs::pidCores, 0, "core 0");
+    tr.complete(core, 10, 20, "LOCK", 0x1000);
+    tr.complete(core, 20, 30, "compute \"x\\y\""); // hostile label
     std::ostringstream os;
-    writeChromeTrace(os, {&b});
+    tr.write(os);
     Json t = parseJson(os.str());
     ASSERT_EQ(t.kind, Json::Obj);
     const Json &ev = t.at("traceEvents");
@@ -499,7 +451,6 @@ TEST(RunReport, RoundTripsThroughJson)
     stats.counter("weird\"name\\with\njunk").inc(1);
     stats.average("noc.packetLatency").sample(10.0);
     stats.average("noc.packetLatency").sample(20.0);
-    stats.histogram("sync.waitTicks").sample(100);
 
     obs::RunMeta meta;
     meta.app = "unit \"test\"";
@@ -526,8 +477,9 @@ TEST(RunReport, RoundTripsThroughJson)
     const Json &lat = r.at("stats").at("averages").at("noc.packetLatency");
     EXPECT_DOUBLE_EQ(lat.at("mean").num, 15.0);
     EXPECT_DOUBLE_EQ(lat.at("count").num, 2.0);
-    const Json &hist = r.at("stats").at("histograms").at("sync.waitTicks");
-    EXPECT_DOUBLE_EQ(hist.at("total").num, 1.0);
+    // The registry holds no histograms; the schema keeps the member.
+    EXPECT_EQ(r.at("stats").at("histograms").kind, Json::Obj);
+    EXPECT_TRUE(r.at("stats").at("histograms").obj.empty());
     // Resilience block is always present, zeros on clean runs.
     EXPECT_DOUBLE_EQ(r.at("resilience").at("timeouts").num, 0.0);
     // No profiler/sampler attached: optional sections absent.
@@ -606,6 +558,45 @@ TEST(EndToEnd, LockFlowLinksCoreToSliceToCore)
     }
     EXPECT_GT(lock_links, 0u)
         << "no LOCK flow is linked core -> slice -> core";
+}
+
+TEST(Tracer, CoreOpsPastTheCapAreCountedAsDropped)
+{
+    SystemConfig cfg = makeConfig(16, AccelMode::MsaOmu, 2);
+    cfg.obs.traceEnabled = true;
+    cfg.obs.traceMaxEvents = 3;
+    sys::System s(cfg);
+    auto body = [](cpu::ThreadApi t) -> cpu::ThreadTask {
+        for (int i = 0; i < 10; ++i)
+            co_await t.compute(5);
+    };
+    s.start(0, body(s.api(0)));
+    ASSERT_TRUE(s.run(100000));
+    std::ostringstream os;
+    s.writeTrace(os);
+    Json t = parseJson(os.str());
+    unsigned computes = 0;
+    for (const Json &e : t.at("traceEvents").arr)
+        computes += e.at("ph").str == "X" && e.at("name").str == "compute";
+    EXPECT_EQ(computes, 3u);
+    EXPECT_EQ(s.stats().counterValue("trace.droppedEvents"), 7u);
+}
+
+TEST(Tracer, TracingOffRecordsNothing)
+{
+    sys::System s(makeConfig(16, AccelMode::MsaOmu, 2));
+    sync::SyncLib lib(sync::SyncLib::Flavor::Hw, 16);
+    auto body = [](cpu::ThreadApi t, sync::SyncLib *lib) -> cpu::ThreadTask {
+        co_await lib->mutexLock(t, 0x1000);
+        co_await t.compute(10);
+        co_await lib->mutexUnlock(t, 0x1000);
+    };
+    s.start(0, body(s.api(0), &lib));
+    ASSERT_TRUE(s.run(100000));
+    EXPECT_EQ(s.tracer(), nullptr);
+    std::ostringstream os;
+    s.writeTrace(os);
+    EXPECT_TRUE(os.str().empty());
 }
 
 TEST(EndToEnd, ProfilerSeesContentionAndReportsHottest)

@@ -8,8 +8,9 @@
  * under forced OMU overflow and under the faulted presets (gap-free,
  * sampler-aligned, episode spans cross-checked against the sampled
  * per-tile OMU gauges), run-report schema v2 (strict superset of
- * v1), and strict CLI validation of --top / --sample-interval in the
- * real misar_sim binary.
+ * v1), strict CLI validation of --top / --sample-interval in the
+ * real misar_sim binary, and that its --stats dump lists exactly the
+ * stats of the same run's --stats-json report.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -644,6 +646,52 @@ TEST(ObsCli, HeatmapOutWritesParseableDocument)
     EXPECT_TRUE(doc.has("omuEpisodes"));
     EXPECT_TRUE(doc.has("overflowEvents"));
     std::remove(path.c_str());
+}
+
+TEST(ObsCli, StatsDumpListsTheReportsStats)
+{
+    // Printing the run summary must read the registry, not register
+    // zero counters the report never saw.
+    for (const char *config : {"msa-omu", "msa-omu-faults"}) {
+        SCOPED_TRACE(config);
+        const std::string path = "test_obs_pressure_stats_" +
+                                 std::to_string(::getpid()) + ".json";
+        std::string out;
+        ASSERT_EQ(runSim(std::string("--app fft --cores 16 --config ") +
+                             config + " --stats --stats-json " + path,
+                         out),
+                  0)
+            << out;
+        const std::string marker = "--- full statistics ---\n";
+        const std::size_t at = out.find(marker);
+        ASSERT_NE(at, std::string::npos) << out;
+        std::set<std::string> dumped;
+        std::istringstream lines(out.substr(at + marker.size()));
+        for (std::string line; std::getline(lines, line);)
+            if (!line.empty())
+                dumped.insert(line.substr(0, line.find(' ')));
+
+        std::string err;
+        const util::Json doc = util::parseJsonFile(path, &err);
+        ASSERT_TRUE(err.empty()) << err;
+        std::set<std::string> reported;
+        for (const char *kind : {"counters", "averages"})
+            for (const auto &[name, v] : doc.at("stats").at(kind).obj)
+                reported.insert(name);
+        auto missing = [](const std::set<std::string> &from,
+                          const std::set<std::string> &in) {
+            std::string names;
+            for (const std::string &n : from)
+                if (!in.count(n))
+                    names += " " + n;
+            return names;
+        };
+        EXPECT_FALSE(reported.empty());
+        EXPECT_EQ(dumped, reported)
+            << "only in --stats:" << missing(dumped, reported)
+            << "\nonly in --stats-json:" << missing(reported, dumped);
+        std::remove(path.c_str());
+    }
 }
 
 } // namespace

@@ -181,7 +181,8 @@ TEST(Overload, CoreFaultsWithBudgetedRetriesNeverLoseRequests)
     workload::RunResult r = workload::runApp(
         spec, 16, sys::PaperConfig::MsaOmu2CoreFaults, 7);
     ASSERT_TRUE(r.finished);
-    EXPECT_GT(r.coreKills, 0u) << "fault preset did not kill a core";
+    EXPECT_GT(r.resilience["coreKills"], 0u)
+        << "fault preset did not kill a core";
     const srv::ServerStats &s = r.server;
     EXPECT_EQ(s.generated, spec.server.requests);
     expectConserved(s);

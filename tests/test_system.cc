@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+
 #include "sync/sync_lib.hh"
 #include "system/system.hh"
+#include "util/json.hh"
 #include "workload/app_catalog.hh"
 #include "workload/microbench.hh"
 #include "workload/runner.hh"
@@ -147,8 +151,8 @@ TEST(SystemMisc, RunDetectsDeadlock)
 TEST(SystemMisc, TraceCapturesSystemRun)
 {
     SystemConfig cfg = makeConfig(16, AccelMode::MsaOmu, 2);
+    cfg.obs.traceEnabled = true;
     System s(cfg);
-    s.enableTracing();
     sync::SyncLib lib(sync::SyncLib::Flavor::Hw, 16);
     auto body = [](cpu::ThreadApi t, sync::SyncLib *lib) -> cpu::ThreadTask {
         co_await lib->mutexLock(t, 0x1000);
@@ -159,8 +163,15 @@ TEST(SystemMisc, TraceCapturesSystemRun)
     ASSERT_TRUE(s.run(100000));
     std::ostringstream os;
     s.writeTrace(os);
-    EXPECT_NE(os.str().find("LOCK"), std::string::npos);
-    EXPECT_NE(os.str().find("compute"), std::string::npos);
+    // Core 0's row (pid 0, tid 0) holds the LOCK and compute slices.
+    const util::Json t = util::parseJson(os.str());
+    std::set<std::string> core0;
+    for (const util::Json &e : t.at("traceEvents").arr)
+        if (e.at("ph").str == "X" && e.at("pid").num == obs::pidCores &&
+            e.at("tid").num == 0)
+            core0.insert(e.at("name").str);
+    EXPECT_TRUE(core0.count("LOCK"));
+    EXPECT_TRUE(core0.count("compute"));
 }
 
 TEST(SystemMisc, SixtyFourCoreSmoke)
