@@ -1,5 +1,7 @@
 #include "noc/router.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
@@ -268,34 +270,60 @@ Router::tick()
     if (faultsArmed)
         progress |= faultDrops(served_input);
 
-    for (unsigned out = 0; out < numPorts; ++out) {
-        const unsigned slots = numVnets * numPorts;
-        for (unsigned k = 0; k < slots; ++k) {
-            unsigned idx = (rrPtr[out] + k) % slots;
-            unsigned vnet = idx / numPorts;
-            unsigned in = idx % numPorts;
-            if (served_input[in])
-                continue;
-            auto &buf = inBuf[in][vnet];
+    // Switch requests, one pass over the occupied inputs: bit
+    // (vnet * numPorts + in) of req[out] is set when the front flit of
+    // (in, vnet) may take output out this cycle. Wormhole allocation:
+    // a head flit needs a free channel on its routed output; body/tail
+    // flits may only follow their own head (which fixed the route, so
+    // no per-flit route check is needed — or possible: poison tails
+    // carry no packet). Only a grant pops a buffer or changes an
+    // output's ownership, and a grant serves its input and ends its
+    // output's turn, so the masks stay exact for the outputs after it.
+    constexpr unsigned slots = numVnets * numPorts;
+    static_assert(slots < 32, "a request mask is one unsigned word");
+    std::array<unsigned, numPorts> req{};
+    for (unsigned in = 0; in < numPorts; ++in) {
+        if (served_input[in])
+            continue;
+        for (unsigned vnet = 0; vnet < numVnets; ++vnet) {
+            const auto &buf = inBuf[in][vnet];
             if (buf.empty())
                 continue;
-            Flit &front = buf.front();
-
-            // Wormhole allocation: head flits need a free channel on
-            // their routed output; body/tail flits may only follow
-            // their own head (which fixed the route, so no per-flit
-            // route check is needed — or possible: poison tails carry
-            // no packet).
+            const Flit &front = buf.front();
+            const unsigned bit = 1u << (vnet * numPorts + in);
             if (front.head) {
-                if (routeFor(static_cast<Port>(in), front.pkt->dst())
-                        != static_cast<Port>(out))
-                    continue;
-                if (outOwner[out][vnet] != -1)
-                    continue;
+                const Port out =
+                    routeFor(static_cast<Port>(in), front.pkt->dst());
+                if (out < numPorts && outOwner[out][vnet] == -1)
+                    req[out] |= bit;
             } else {
-                if (outOwner[out][vnet] != static_cast<int>(in))
-                    continue;
+                for (unsigned out = 0; out < numPorts; ++out)
+                    if (outOwner[out][vnet] == static_cast<int>(in))
+                        req[out] |= bit;
             }
+        }
+    }
+
+    // Each output grants the first eligible request at or after its
+    // round-robin pointer; a granted input is served for this cycle.
+    static_assert(numVnets == 3, "all_vnets lists one bit per vnet");
+    constexpr unsigned all_vnets =
+        1u | (1u << numPorts) | (1u << (2 * numPorts));
+    unsigned served = 0; // request bits of inputs granted this cycle
+    for (unsigned out = 0; out < numPorts; ++out) {
+        const unsigned cand = req[out] & ~served;
+        if (!cand)
+            continue;
+        const unsigned r = rrPtr[out];
+        unsigned rot = ((cand >> r) | (cand << (slots - r))) &
+                       ((1u << slots) - 1);
+        for (; rot; rot &= rot - 1) {
+            const unsigned idx =
+                (r + static_cast<unsigned>(std::countr_zero(rot))) % slots;
+            const unsigned vnet = idx / numPorts;
+            const unsigned in = idx % numPorts;
+            auto &buf = inBuf[in][vnet];
+            Flit &front = buf.front();
 
             const bool is_local = (out == portLocal);
 
@@ -317,7 +345,7 @@ Router::tick()
             // Grant: forward this flit.
             Flit flit = std::move(front);
             buf.pop_front();
-            served_input[in] = true;
+            served |= all_vnets << in;
             progress = true;
             rrPtr[out] = (idx + 1) % slots;
 

@@ -138,14 +138,6 @@ class Router
     /** Accept a flit into input @p in on virtual network @p vnet. */
     void acceptFlit(Port in, unsigned vnet, Flit flit);
 
-    /** Free buffer space available on input @p in, vnet @p vnet. */
-    unsigned
-    freeSlots(Port in, unsigned vnet) const
-    {
-        return cfg.bufferDepth
-            - static_cast<unsigned>(inBuf[in][vnet].size());
-    }
-
     /** Credit returned by the downstream hop of output @p out. */
     void returnCredit(Port out, unsigned vnet);
 
@@ -258,7 +250,11 @@ class Router
     /** True when some output's wormhole channel is owned by @p in. */
     bool ownedByAny(Port in, unsigned vnet) const;
 
-    /** Run one cycle of switch allocation and traversal. */
+    /**
+     * Run one cycle of switch allocation and traversal. Costs one
+     * pass over the occupied inputs, which builds a request mask per
+     * output, plus a bit scan per requested output.
+     */
     void tick();
 
     /** Schedule a tick next cycle unless one is already pending. */
