@@ -3,18 +3,25 @@
  * misar_campaign: parallel, fault-tolerant experiment orchestration.
  *
  * Expands a JSON campaign spec (presets x apps x cores x seeds x
- * reps) into a job list, runs each job as an isolated misar_sim
- * process under a worker pool with wall-clock timeouts and bounded
- * retries, journals every terminal job to an append-only manifest
- * (so --resume completes an interrupted campaign), and aggregates
- * the per-job run reports into one campaign report:
+ * reps) into a job list, runs each job in a forked worker process
+ * (which calls the job function the in-process executor calls) under
+ * a pool with wall-clock timeouts and bounded retries, journals
+ * every terminal job to an append-only manifest (so --resume
+ * completes an interrupted campaign), and aggregates the per-job
+ * run reports into one campaign report:
  *
  *   <out-dir>/report.json   machine-readable cells + failures
  *   <out-dir>/report.csv    one row per (cell, metric)
  *   <out-dir>/report.txt    human-readable table
  *   <out-dir>/spec.json     the spec as executed (provenance)
  *   <out-dir>/manifest.jsonl  the journal (timing, attempts)
- *   <out-dir>/jobs/         per-job run reports + logs
+ *   <out-dir>/jobs/         per-job run reports, heatmaps + logs
+ *
+ * A per-job report's meta.preset is the spec's preset name. A job's
+ * log holds what the run printed: nothing for a finished job, the
+ * warnings and the fatal or panic line of a failed one. No misar_sim
+ * binary is involved, so there is no --sim flag, and no job ends as
+ * "spawn-error" (the outcome keeps its report key).
  *
  * The three report files depend only on the spec and the simulation
  * results — never on worker count, retries, or resume boundaries —
@@ -26,16 +33,14 @@
  * incomplete (--stop-after or setup abort) — rerun with --resume.
  */
 
-#include <unistd.h>
-
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli_args.hh"
 #include "orch/aggregate.hh"
 #include "orch/campaign_spec.hh"
 #include "orch/engine.hh"
@@ -43,6 +48,7 @@
 #include "sim/logging.hh"
 
 using namespace misar;
+using namespace misar::cli;
 using namespace misar::orch;
 
 namespace {
@@ -54,10 +60,8 @@ usage()
         "usage: misar_campaign --spec FILE [options]\n"
         "options:\n"
         "  --out-dir DIR    output directory (default campaign-out)\n"
-        "  --workers N      parallel jobs (default: hw concurrency)\n"
+        "  --workers N      parallel jobs (default or 0: hw concurrency)\n"
         "  --resume         skip jobs already in DIR's manifest\n"
-        "  --sim PATH       misar_sim binary (default: next to this\n"
-        "                   binary, else $PATH)\n"
         "  --dry-run        print the expanded job list and exit\n"
         "  --bench-out FILE write host-side throughput metrics JSON\n"
         "  --quiet          suppress per-job progress lines\n"
@@ -70,25 +74,6 @@ usage()
         "  --chaos-kill-job N  SIGKILL job N's first attempt\n"
         "  --stop-after N      stop dispatching after N completions\n"
         "exit codes: 0 ok, 2 jobs failed, 75 incomplete (resume)\n");
-}
-
-/** Locate misar_sim next to our own binary; fall back to $PATH. */
-std::string
-findSim()
-{
-    char buf[4096];
-    ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        std::string self(buf);
-        std::size_t slash = self.rfind('/');
-        if (slash != std::string::npos) {
-            std::string cand = self.substr(0, slash + 1) + "misar_sim";
-            if (::access(cand.c_str(), X_OK) == 0)
-                return cand;
-        }
-    }
-    return "misar_sim";
 }
 
 bool
@@ -112,7 +97,6 @@ main(int argc, char **argv)
     EngineOptions opts;
     bool dry_run = false;
     std::string bench_out;
-    opts.simPath.clear();
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -126,11 +110,10 @@ main(int argc, char **argv)
         } else if (a == "--out-dir") {
             opts.outDir = next();
         } else if (a == "--workers") {
-            opts.workers = static_cast<unsigned>(std::atoi(next()));
+            opts.workers = parseUnsignedArg("--workers", next(),
+                                            /*allow_zero=*/true);
         } else if (a == "--resume") {
             opts.resume = true;
-        } else if (a == "--sim") {
-            opts.simPath = next();
         } else if (a == "--dry-run") {
             dry_run = true;
         } else if (a == "--bench-out") {
@@ -141,9 +124,11 @@ main(int argc, char **argv)
             opts.progress = true;
             opts.verbose = false; // ticker and per-job lines clash
         } else if (a == "--chaos-kill-job") {
-            opts.chaosKillJob = std::atoi(next());
+            opts.chaosKillJob = static_cast<int>(parseDecimalArg(
+                "--chaos-kill-job", next(), /*allow_zero=*/true, INT_MAX));
         } else if (a == "--stop-after") {
-            opts.stopAfter = std::atoi(next());
+            opts.stopAfter = static_cast<int>(parseDecimalArg(
+                "--stop-after", next(), /*allow_zero=*/false, INT_MAX));
         } else if (a == "--help" || a == "-h") {
             usage();
             return 0;
@@ -156,8 +141,6 @@ main(int argc, char **argv)
         usage();
         return exitFatal;
     }
-    if (opts.simPath.empty())
-        opts.simPath = findSim();
 
     std::ifstream sf(spec_path);
     if (!sf)
@@ -183,8 +166,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    inform("campaign %s: %zu jobs, sim %s", spec.name.c_str(),
-           jobs.size(), opts.simPath.c_str());
+    inform("campaign %s: %zu jobs", spec.name.c_str(), jobs.size());
 
     std::vector<JobRecord> records;
     CampaignRunStats stats;

@@ -6,9 +6,12 @@
  * count and accelerator configuration, and prints a run report.
  * The flags describe one campaign job: after checking them,
  * misar_sim runs it through orch::resolveJob() and
- * workload::runAppWithConfig(), the code the in-process campaign
- * executor uses, so a misar_campaign job and an in-process one run
- * and report identically.
+ * workload::runAppWithConfig(), as a campaign job runs. Campaigns
+ * do not call misar_sim; their forked workers call the job function
+ * directly. Run with the flags that match a spec job, misar_sim
+ * writes that job's report byte for byte, except that meta.preset
+ * holds the --config name where a campaign job's holds the preset
+ * name (OrchEngine.SimFlagsReproduceSpecJobs pins this).
  *
  *   misar_sim --list-apps | --list-presets
  *   misar_sim --app streamcluster --cores 64 --config msa-omu \
@@ -23,14 +26,11 @@
  *          halted dead mid-run, lease-based lock recovery, barrier
  *          membership reconfiguration)
  *
- * Exit codes (consumed by the campaign engine, see
- * orch/exit_codes.hh): 0 finished, 40 deadlock, 41 tick-limit,
- * 1 fatal error.
+ * Exit codes (the campaign workers' too, see orch/exit_codes.hh):
+ * 0 finished, 40 deadlock, 41 tick-limit, 1 fatal error.
  */
 
 #include <algorithm>
-#include <cctype>
-#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hh"
 #include "orch/exit_codes.hh"
 #include "orch/job.hh"
 #include "sim/logging.hh"
@@ -48,6 +49,7 @@
 #include "workload/runner.hh"
 
 using namespace misar;
+using namespace misar::cli;
 using namespace misar::workload;
 
 namespace {
@@ -130,64 +132,6 @@ usage()
         "                     + episodes, NoC link flits, NI queues) as\n"
         "                     heatmap.json; samples on the\n"
         "                     --sample-interval cadence (default 10000)\n");
-}
-
-/**
- * Strict "A:B@C"-style kill-spec parser: @p n plain decimal fields
- * separated by exactly the characters of @p seps, nothing else.
- * sscanf alone is too lax here — it accepts trailing garbage
- * ("1:2@3junk") and negated values ("-1" wraps to a huge unsigned).
- */
-bool
-parseKillFields(const char *v, const char *seps, std::uint64_t *out,
-                unsigned n)
-{
-    const char *p = v;
-    for (unsigned f = 0; f < n; ++f) {
-        if (f > 0) {
-            if (*p != seps[f - 1])
-                return false;
-            ++p;
-        }
-        if (!std::isdigit(static_cast<unsigned char>(*p)))
-            return false;
-        std::uint64_t val = 0;
-        while (std::isdigit(static_cast<unsigned char>(*p))) {
-            const unsigned d = static_cast<unsigned>(*p - '0');
-            if (val > (UINT64_MAX - d) / 10)
-                return false; // overflow
-            val = val * 10 + d;
-            ++p;
-        }
-        out[f] = val;
-    }
-    return *p == '\0';
-}
-
-/**
- * Strict decimal option value, positive unless @p allow_zero.
- * atoi-style parsing silently turns "10x" into 10 and "-5" into a
- * huge unsigned; numeric options fail loudly instead, like the kill
- * specs.
- */
-std::uint64_t
-parseDecimalArg(const char *opt, const char *v, bool allow_zero = false)
-{
-    std::uint64_t val = 0;
-    if (!parseKillFields(v, "", &val, 1) || (val == 0 && !allow_zero))
-        fatal("%s expects a %sdecimal number, got '%s'", opt,
-              allow_zero ? "" : "positive ", v);
-    return val;
-}
-
-/** parseDecimalArg() for an option stored as unsigned. */
-unsigned
-parseUnsignedArg(const char *opt, const char *v, bool allow_zero = false)
-{
-    const std::uint64_t val = parseDecimalArg(opt, v, allow_zero);
-    if (val > UINT_MAX)
-        fatal("%s %s is out of range", opt, v);
-    return static_cast<unsigned>(val);
 }
 
 /** Strict positive-real option value (arrival rates). */
@@ -455,14 +399,8 @@ main(int argc, char **argv)
     opts.system = &system;
     const workload::RunResult r = workload::runAppWithConfig(
         run.app, cfg, run.flavor, job.seed, config, opts);
-    switch (r.outcome) {
-      case sys::RunOutcome::Finished:
-        break;
-      case sys::RunOutcome::Deadlock:
-        return misar::orch::exitDeadlock;
-      case sys::RunOutcome::LimitReached:
-        return misar::orch::exitTickLimit;
-    }
+    if (r.outcome != sys::RunOutcome::Finished)
+        return orch::exitCodeFor(r.outcome);
 
     sys::System &s = *system;
     std::printf("app            : %s\n", run.app.name.c_str());

@@ -1,7 +1,10 @@
 #include "orch/campaign_spec.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <initializer_list>
+#include <limits>
 #include <sstream>
 
 #include "orch/json.hh"
@@ -48,8 +51,143 @@ JobSpec::key() const
 
 namespace {
 
+/**
+ * Reject a member of object @p o that @p known does not list; @p what
+ * names the object in the message. A typo'd key would otherwise
+ * silently run the whole grid at the default.
+ */
 bool
-parsePreset(const Json &j, PresetSpec &p, std::string &err)
+knownKeys(const Json &o, const char *what,
+          std::initializer_list<const char *> known, std::string &err)
+{
+    for (const auto &kv : o.obj) {
+        if (std::find(known.begin(), known.end(), kv.first) != known.end())
+            continue;
+        err = std::string("unknown ") + what + " key '" + kv.first +
+              "' (expected ";
+        const char *sep = "";
+        for (const char *k : known) {
+            err += sep;
+            err += k;
+            sep = ", ";
+        }
+        err += ")";
+        return false;
+    }
+    return true;
+}
+
+// Typed member reads. An absent member leaves @p out at its default;
+// a present one of the wrong JSON type is an error naming the member
+// as @p ctx + @p key, never a silent fallback to the default.
+
+bool
+typeError(const std::string &ctx, const char *key, const char *type,
+          std::string &err)
+{
+    err = "\"" + ctx + key + "\" must be " + type;
+    return false;
+}
+
+/** @p v as a T, if it is an integer in T's range. */
+template <typename T>
+bool
+asUint(const Json &v, T &out)
+{
+    if (!v.isNum() || v.num < 0 || v.num != std::floor(v.num) ||
+        v.num >= std::ldexp(1.0, std::numeric_limits<T>::digits))
+        return false;
+    out = static_cast<T>(v.num);
+    return true;
+}
+
+template <typename T>
+bool
+readUint(const Json &o, const std::string &ctx, const char *key, T &out,
+         std::string &err)
+{
+    if (o.has(key) && !asUint(o.at(key), out))
+        return typeError(ctx, key, "a non-negative integer", err);
+    return true;
+}
+
+template <typename T>
+bool
+readUintList(const Json &o, const std::string &ctx, const char *key,
+             std::vector<T> &out, std::string &err)
+{
+    if (!o.has(key))
+        return true;
+    const Json &v = o.at(key);
+    std::vector<T> list(v.arr.size());
+    bool ok = v.isArr();
+    for (std::size_t i = 0; ok && i < list.size(); ++i)
+        ok = asUint(v.arr[i], list[i]);
+    if (!ok)
+        return typeError(ctx, key, "an array of non-negative integers",
+                         err);
+    out = std::move(list);
+    return true;
+}
+
+bool
+readString(const Json &o, const std::string &ctx, const char *key,
+           std::string &out, std::string &err)
+{
+    if (!o.has(key))
+        return true;
+    if (!o.at(key).isStr())
+        return typeError(ctx, key, "a string", err);
+    out = o.at(key).str;
+    return true;
+}
+
+bool
+readStringList(const Json &o, const std::string &ctx, const char *key,
+               std::vector<std::string> &out, std::string &err)
+{
+    if (!o.has(key))
+        return true;
+    const Json &v = o.at(key);
+    std::vector<std::string> list;
+    bool ok = v.isArr();
+    for (const Json &e : v.arr) {
+        ok = ok && e.isStr();
+        list.push_back(e.str);
+    }
+    if (!ok)
+        return typeError(ctx, key, "an array of strings", err);
+    out = std::move(list);
+    return true;
+}
+
+bool
+readBool(const Json &o, const std::string &ctx, const char *key, bool &out,
+         std::string &err)
+{
+    if (!o.has(key))
+        return true;
+    if (o.at(key).kind != Json::Bool)
+        return typeError(ctx, key, "true or false", err);
+    out = o.at(key).boolean;
+    return true;
+}
+
+bool
+readNumber(const Json &o, const std::string &ctx, const char *key,
+           double &out, std::string &err)
+{
+    if (!o.has(key))
+        return true;
+    if (!o.at(key).isNum())
+        return typeError(ctx, key, "a number", err);
+    out = o.at(key).num;
+    return true;
+}
+
+bool
+parsePreset(const Json &j, const std::string &ctx, PresetSpec &p,
+            std::string &err)
 {
     if (j.isStr()) {
         p.name = p.config = j.str;
@@ -59,25 +197,111 @@ parsePreset(const Json &j, PresetSpec &p, std::string &err)
         err = "presets entries must be strings or objects";
         return false;
     }
-    p.config = j.at("config").stringOr(j.at("name").stringOr(""));
-    p.name = j.at("name").stringOr(p.config);
+    std::string name, config;
+    if (!knownKeys(j, "preset",
+                   {"name", "config", "entries", "hwsync", "omu", "smt",
+                    "threads", "seeds"},
+                   err) ||
+        !readString(j, ctx, "name", name, err) ||
+        !readString(j, ctx, "config", config, err) ||
+        !readUint(j, ctx, "entries", p.entries, err) ||
+        !readBool(j, ctx, "hwsync", p.hwsync, err) ||
+        !readBool(j, ctx, "omu", p.omu, err) ||
+        !readUint(j, ctx, "smt", p.smt, err) ||
+        !readUint(j, ctx, "threads", p.threads, err) ||
+        !readUintList(j, ctx, "seeds", p.seeds, err))
+        return false;
+    p.config = j.has("config") ? config : name;
+    p.name = j.has("name") ? name : p.config;
     if (p.config.empty()) {
         err = "preset object needs a \"config\" (or \"name\") member";
         return false;
     }
-    p.entries = static_cast<unsigned>(j.at("entries").uintOr(p.entries));
-    p.hwsync = j.at("hwsync").boolOr(p.hwsync);
-    p.omu = j.at("omu").boolOr(p.omu);
-    p.smt = static_cast<unsigned>(j.at("smt").uintOr(p.smt));
-    p.threads = static_cast<unsigned>(j.at("threads").uintOr(p.threads));
-    if (j.has("seeds")) {
-        const Json &s = j.at("seeds");
-        if (!s.isArr()) {
-            err = "preset \"seeds\" must be an array";
+    return true;
+}
+
+bool
+parseServer(const Json &o, CampaignSpec::ServerSweep &sv, std::string &err)
+{
+    if (!o.isObj()) {
+        err = "\"server\" must be an object";
+        return false;
+    }
+    const std::string ctx = "server.";
+    if (!knownKeys(o, "\"server\"",
+                   {"arrivalRates", "serviceDist", "queueCap", "slo",
+                    "retryPolicies", "retryBudget", "tenantMixes"},
+                   err) ||
+        !readString(o, ctx, "serviceDist", sv.serviceDist, err) ||
+        !readUint(o, ctx, "queueCap", sv.queueCap, err) ||
+        !readUint(o, ctx, "slo", sv.slo, err) ||
+        !readNumber(o, ctx, "retryBudget", sv.retryBudget, err) ||
+        !readStringList(o, ctx, "retryPolicies", sv.retryPolicies, err) ||
+        !readStringList(o, ctx, "tenantMixes", sv.tenantMixes, err))
+        return false;
+    sv.present = true;
+    if (o.has("arrivalRates")) {
+        if (!o.at("arrivalRates").isArr() ||
+            o.at("arrivalRates").arr.empty()) {
+            err = "\"server.arrivalRates\" must be a non-empty "
+                  "array of rates";
             return false;
         }
-        for (const Json &e : s.arr)
-            p.seeds.push_back(e.uintOr(1));
+        for (const Json &j : o.at("arrivalRates").arr) {
+            if (!j.isNum() || j.num <= 0) {
+                err = "\"server.arrivalRates\" entries must be "
+                      "positive numbers";
+                return false;
+            }
+            sv.arrivalRates.push_back(j.num);
+        }
+    }
+    if (o.has("slo") && sv.slo == 0) {
+        err = "\"server.slo\" must be a positive tick count";
+        return false;
+    }
+    if (o.has("retryPolicies") && sv.retryPolicies.empty()) {
+        err = "\"server.retryPolicies\" must be a non-empty "
+              "array of policy names";
+        return false;
+    }
+    for (const std::string &name : sv.retryPolicies) {
+        srv::RetryPolicy p;
+        if (!srv::parseRetryPolicy(name, p)) {
+            err = "unknown server.retryPolicies entry '" + name +
+                  "' (expected one of: " + srv::retryPolicyNames() + ")";
+            return false;
+        }
+    }
+    if (o.has("retryBudget") && sv.retryBudget <= 0) {
+        err = "\"server.retryBudget\" must be a positive ratio";
+        return false;
+    }
+    if (o.has("tenantMixes") && sv.tenantMixes.empty()) {
+        err = "\"server.tenantMixes\" must be a non-empty "
+              "array of \"HI:LO\" rate strings";
+        return false;
+    }
+    for (const std::string &mix : sv.tenantMixes) {
+        double hi = 0, lo = 0;
+        if (!srv::parseTenantMix(mix, hi, lo)) {
+            err = "bad server.tenantMixes entry '" + mix +
+                  "' (expected \"HI:LO\" positive rates)";
+            return false;
+        }
+    }
+    if (!sv.tenantMixes.empty() && !sv.arrivalRates.empty()) {
+        err = "server.tenantMixes and server.arrivalRates are "
+              "mutually exclusive (each mix fixes its own total "
+              "rate)";
+        return false;
+    }
+    if (sv.retryBudget > 0 &&
+        std::find(sv.retryPolicies.begin(), sv.retryPolicies.end(),
+                  "budgeted") == sv.retryPolicies.end()) {
+        err = "server.retryBudget needs \"budgeted\" in "
+              "server.retryPolicies";
+        return false;
     }
     return true;
 }
@@ -97,7 +321,21 @@ CampaignSpec::parse(const std::string &text, CampaignSpec &out,
     }
 
     CampaignSpec s;
-    s.name = root.at("name").stringOr(s.name);
+    if (!knownKeys(root, "spec",
+                   {"name", "presets", "apps", "cores", "seeds", "reps",
+                    "tickLimit", "timeoutSec", "maxRetries", "baseline",
+                    "stats", "obs", "server"},
+                   err) ||
+        !readString(root, "", "name", s.name, err) ||
+        !readUintList(root, "", "cores", s.cores, err) ||
+        !readUintList(root, "", "seeds", s.seeds, err) ||
+        !readUint(root, "", "reps", s.reps, err) ||
+        !readUint(root, "", "tickLimit", s.tickLimit, err) ||
+        !readNumber(root, "", "timeoutSec", s.timeoutSec, err) ||
+        !readUint(root, "", "maxRetries", s.maxRetries, err) ||
+        !readString(root, "", "baseline", s.baseline, err) ||
+        !readStringList(root, "", "stats", s.stats, err))
+        return false;
 
     if (!root.at("presets").isArr() || root.at("presets").arr.empty()) {
         err = "spec needs a non-empty \"presets\" array";
@@ -105,7 +343,9 @@ CampaignSpec::parse(const std::string &text, CampaignSpec &out,
     }
     for (const Json &j : root.at("presets").arr) {
         PresetSpec p;
-        if (!parsePreset(j, p, err))
+        const std::string ctx =
+            "presets[" + std::to_string(s.presets.size()) + "].";
+        if (!parsePreset(j, ctx, p, err))
             return false;
         s.presets.push_back(std::move(p));
     }
@@ -113,165 +353,27 @@ CampaignSpec::parse(const std::string &text, CampaignSpec &out,
     const Json &apps = root.at("apps");
     if (apps.isStr()) {
         s.apps = {apps.str}; // "all" / "headline" shorthands
-    } else if (apps.isArr() && !apps.arr.empty()) {
-        for (const Json &j : apps.arr)
-            s.apps.push_back(j.stringOr(""));
-    } else {
+    } else if (!apps.isArr() || apps.arr.empty()) {
         err = "spec needs an \"apps\" array (or \"all\"/\"headline\")";
+        return false;
+    } else if (!readStringList(root, "", "apps", s.apps, err)) {
         return false;
     }
 
-    if (root.has("cores")) {
-        if (!root.at("cores").isArr()) {
-            err = "\"cores\" must be an array of core counts";
-            return false;
-        }
-        s.cores.clear();
-        for (const Json &j : root.at("cores").arr)
-            s.cores.push_back(static_cast<unsigned>(j.uintOr(0)));
-    }
-    if (root.has("seeds")) {
-        if (!root.at("seeds").isArr()) {
-            err = "\"seeds\" must be an array";
-            return false;
-        }
-        s.seeds.clear();
-        for (const Json &j : root.at("seeds").arr)
-            s.seeds.push_back(j.uintOr(1));
-    }
-    s.reps = static_cast<unsigned>(root.at("reps").uintOr(s.reps));
-    s.tickLimit = root.at("tickLimit").uintOr(s.tickLimit);
-    s.timeoutSec = root.at("timeoutSec").numberOr(s.timeoutSec);
-    s.maxRetries =
-        static_cast<unsigned>(root.at("maxRetries").uintOr(s.maxRetries));
-    s.baseline = root.at("baseline").stringOr(s.baseline);
-    if (root.has("stats")) {
-        if (!root.at("stats").isArr()) {
-            err = "\"stats\" must be an array of counter names";
-            return false;
-        }
-        for (const Json &j : root.at("stats").arr)
-            s.stats.push_back(j.stringOr(""));
-    }
     if (root.has("obs")) {
         const Json &o = root.at("obs");
         if (!o.isObj()) {
             err = "\"obs\" must be an object";
             return false;
         }
-        s.obs.sampleInterval = o.at("sampleInterval").uintOr(0);
-        s.obs.heatmap = o.at("heatmap").boolOr(false);
-    }
-    if (root.has("server")) {
-        const Json &o = root.at("server");
-        if (!o.isObj()) {
-            err = "\"server\" must be an object";
+        if (!knownKeys(o, "\"obs\"", {"sampleInterval", "heatmap"}, err) ||
+            !readUint(o, "obs.", "sampleInterval", s.obs.sampleInterval,
+                      err) ||
+            !readBool(o, "obs.", "heatmap", s.obs.heatmap, err))
             return false;
-        }
-        // Unknown keys are rejected loudly: a typo'd "arrivalRate"
-        // would otherwise silently run the whole sweep at defaults.
-        for (const auto &kv : o.obj)
-            if (kv.first != "arrivalRates" && kv.first != "serviceDist" &&
-                kv.first != "queueCap" && kv.first != "slo" &&
-                kv.first != "retryPolicies" &&
-                kv.first != "retryBudget" &&
-                kv.first != "tenantMixes") {
-                err = "unknown \"server\" key '" + kv.first +
-                      "' (expected arrivalRates, serviceDist, "
-                      "queueCap, slo, retryPolicies, retryBudget, "
-                      "tenantMixes)";
-                return false;
-            }
-        s.server.present = true;
-        if (o.has("arrivalRates")) {
-            if (!o.at("arrivalRates").isArr() ||
-                o.at("arrivalRates").arr.empty()) {
-                err = "\"server.arrivalRates\" must be a non-empty "
-                      "array of rates";
-                return false;
-            }
-            for (const Json &j : o.at("arrivalRates").arr) {
-                if (!j.isNum() || j.num <= 0) {
-                    err = "\"server.arrivalRates\" entries must be "
-                          "positive numbers";
-                    return false;
-                }
-                s.server.arrivalRates.push_back(j.num);
-            }
-        }
-        s.server.serviceDist = o.at("serviceDist").stringOr("");
-        s.server.queueCap = o.at("queueCap").uintOr(0);
-        if (o.has("slo")) {
-            const Json &v = o.at("slo");
-            if (!v.isNum() || v.uintOr(0) == 0) {
-                err = "\"server.slo\" must be a positive tick count";
-                return false;
-            }
-            s.server.slo = v.uintOr(0);
-        }
-        if (o.has("retryPolicies")) {
-            if (!o.at("retryPolicies").isArr() ||
-                o.at("retryPolicies").arr.empty()) {
-                err = "\"server.retryPolicies\" must be a non-empty "
-                      "array of policy names";
-                return false;
-            }
-            for (const Json &j : o.at("retryPolicies").arr) {
-                srv::RetryPolicy p;
-                if (!srv::parseRetryPolicy(j.stringOr(""), p)) {
-                    err = "unknown server.retryPolicies entry '" +
-                          j.stringOr("") + "' (expected one of: " +
-                          srv::retryPolicyNames() + ")";
-                    return false;
-                }
-                s.server.retryPolicies.push_back(j.stringOr(""));
-            }
-        }
-        if (o.has("retryBudget")) {
-            const Json &v = o.at("retryBudget");
-            if (!v.isNum() || v.num <= 0) {
-                err = "\"server.retryBudget\" must be a positive "
-                      "ratio";
-                return false;
-            }
-            s.server.retryBudget = v.num;
-        }
-        if (o.has("tenantMixes")) {
-            if (!o.at("tenantMixes").isArr() ||
-                o.at("tenantMixes").arr.empty()) {
-                err = "\"server.tenantMixes\" must be a non-empty "
-                      "array of \"HI:LO\" rate strings";
-                return false;
-            }
-            for (const Json &j : o.at("tenantMixes").arr) {
-                double hi = 0, lo = 0;
-                if (!srv::parseTenantMix(j.stringOr(""), hi, lo)) {
-                    err = "bad server.tenantMixes entry '" +
-                          j.stringOr("") +
-                          "' (expected \"HI:LO\" positive rates)";
-                    return false;
-                }
-                s.server.tenantMixes.push_back(j.stringOr(""));
-            }
-        }
-        if (!s.server.tenantMixes.empty() &&
-            !s.server.arrivalRates.empty()) {
-            err = "server.tenantMixes and server.arrivalRates are "
-                  "mutually exclusive (each mix fixes its own total "
-                  "rate)";
-            return false;
-        }
-        if (s.server.retryBudget > 0) {
-            bool budgeted = false;
-            for (const std::string &p : s.server.retryPolicies)
-                budgeted |= p == "budgeted";
-            if (!budgeted) {
-                err = "server.retryBudget needs \"budgeted\" in "
-                      "server.retryPolicies";
-                return false;
-            }
-        }
     }
+    if (root.has("server") && !parseServer(root.at("server"), s.server, err))
+        return false;
 
     out = std::move(s);
     return true;

@@ -160,7 +160,8 @@ struct CampaignSpec
 
     /**
      * Parse the JSON text of a spec file. Returns false and sets
-     * @p err on malformed JSON or structurally invalid fields;
+     * @p err on malformed JSON, an unknown key in any object, a
+     * value of the wrong JSON type, or a structurally invalid field;
      * semantic checks (names exist, cores square) live in
      * validate().
      */

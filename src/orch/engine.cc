@@ -191,83 +191,11 @@ class StatusWriter
     unsigned doneSeen = 0;
 };
 
-std::vector<std::string>
-jobArgv(const CampaignSpec &spec, const JobSpec &j,
-        const EngineOptions &opts, const std::string &reportPath)
-{
-    std::vector<std::string> argv = {
-        opts.simPath,
-        "--app", j.app,
-        "--config", j.preset.config,
-        "--cores", std::to_string(j.cores),
-        "--entries", std::to_string(j.preset.entries),
-        "--seed", std::to_string(j.seed),
-        "--tick-limit", std::to_string(spec.tickLimit),
-        "--stats-json", reportPath,
-    };
-    if (j.preset.smt != 1) {
-        argv.push_back("--smt");
-        argv.push_back(std::to_string(j.preset.smt));
-    }
-    if (j.preset.threads != 1) {
-        argv.push_back("--threads");
-        argv.push_back(std::to_string(j.preset.threads));
-    }
-    if (!j.preset.hwsync)
-        argv.push_back("--no-hwsync");
-    if (!j.preset.omu)
-        argv.push_back("--no-omu");
-    if (spec.obs.sampleInterval) {
-        argv.push_back("--sample-interval");
-        argv.push_back(std::to_string(spec.obs.sampleInterval));
-    }
-    if (spec.obs.heatmap) {
-        argv.push_back("--heatmap-out");
-        argv.push_back(opts.outDir + "/" + jobHeatmapRelPath(j.id));
-    }
-    if (j.arrivalRate > 0) {
-        argv.push_back("--arrival-rate");
-        argv.push_back(formatRate(j.arrivalRate));
-    }
-    if (!spec.server.serviceDist.empty()) {
-        argv.push_back("--service-dist");
-        argv.push_back(spec.server.serviceDist);
-    }
-    if (spec.server.queueCap) {
-        argv.push_back("--queue-cap");
-        argv.push_back(std::to_string(spec.server.queueCap));
-    }
-    if (spec.server.slo) {
-        argv.push_back("--slo");
-        argv.push_back(std::to_string(spec.server.slo));
-    }
-    if (!j.retryPolicy.empty()) {
-        argv.push_back("--retry-policy");
-        argv.push_back(j.retryPolicy);
-        // misar_sim rejects --retry-budget for non-budgeted policies,
-        // so the override rides along only where it applies.
-        if (spec.server.retryBudget > 0 && j.retryPolicy == "budgeted") {
-            argv.push_back("--retry-budget");
-            argv.push_back(formatRate(spec.server.retryBudget));
-        }
-    }
-    if (!j.tenantMix.empty()) {
-        argv.push_back("--tenants");
-        argv.push_back(j.tenantMix);
-    }
-    return argv;
-}
-
+/** The outcome of a job that exited with @p code (exit_codes.hh). */
 JobOutcome
-classify(const PoolOutcome &o)
+outcomeOfExit(int code)
 {
-    if (o.timedOut)
-        return JobOutcome::Timeout;
-    if (!o.spawned || (o.exited && o.exitCode == 127))
-        return JobOutcome::SpawnError;
-    if (!o.exited)
-        return JobOutcome::Crash;
-    switch (o.exitCode) {
+    switch (code) {
       case exitFinished:
         return JobOutcome::Finished;
       case exitDeadlock:
@@ -279,6 +207,40 @@ classify(const PoolOutcome &o)
       default:
         return JobOutcome::Crash;
     }
+}
+
+JobOutcome
+classify(const PoolOutcome &o)
+{
+    if (o.timedOut)
+        return JobOutcome::Timeout;
+    if (!o.exited)
+        return JobOutcome::Crash;
+    return outcomeOfExit(o.exitCode);
+}
+
+/**
+ * Run job @p j of @p spec: the one job function of both executors.
+ * The profiler is serial-only; armed, it adds the report's syncVars.
+ */
+sys::RunOutcome
+runJob(const CampaignSpec &spec, const JobSpec &j,
+       const InProcessHooks &hooks, std::string *report)
+{
+    JobRun run = resolveJob(j, spec.server);
+    run.cfg.obs.profileSync = j.preset.threads == 1;
+    run.cfg.obs.sampleInterval = spec.obs.sampleInterval;
+    run.cfg.obs.heatmapEnabled = spec.obs.heatmap;
+    if (hooks.tweak)
+        hooks.tweak(j, run.cfg);
+    run.cfg.validate();
+
+    workload::RunOptions ro;
+    ro.tickLimit = spec.tickLimit;
+    ro.report = report;
+    return workload::runAppWithConfig(run.app, run.cfg, run.flavor, j.seed,
+                                      j.preset.name, ro)
+        .outcome;
 }
 
 std::uint64_t
@@ -437,11 +399,20 @@ runCampaign(const CampaignSpec &spec, const EngineOptions &opts,
                         static_cast<unsigned>(jobs.size()),
                         static_cast<unsigned>(done.size()));
 
+    // Where a worker's job leaves the artifacts ingestion reads.
+    InProcessHooks artifacts;
+    artifacts.tweak = [&](const JobSpec &j, SystemConfig &cfg) {
+        cfg.obs.statsJsonPath = opts.outDir + "/" + jobReportRelPath(j.id);
+        if (spec.obs.heatmap)
+            cfg.obs.heatmapJsonPath =
+                opts.outDir + "/" + jobHeatmapRelPath(j.id);
+    };
     auto makeTask = [&](const JobSpec &j) {
         PoolTask t;
         t.id = j.id;
-        t.argv = jobArgv(spec, j, opts,
-                         opts.outDir + "/" + jobReportRelPath(j.id));
+        t.body = [&spec, &j, &artifacts] {
+            return exitCodeFor(runJob(spec, j, artifacts, nullptr));
+        };
         t.logPath = opts.outDir + "/" + jobLogRelPath(j.id);
         t.timeoutSec = spec.timeoutSec;
         return t;
@@ -583,33 +554,11 @@ runCampaignInProcess(const CampaignSpec &spec, const InProcessHooks &hooks)
 {
     std::vector<JobRecord> out;
     for (const JobSpec &j : spec.expand()) {
-        JobRun run = resolveJob(j, spec.server);
-        // What jobArgv's flags ask of misar_sim: its --stats-json
-        // arms the profiler on serial runs (it is serial-only), and
-        // the spec's obs directive adds the sampler and heatmaps.
-        run.cfg.obs.profileSync = j.preset.threads == 1;
-        run.cfg.obs.sampleInterval = spec.obs.sampleInterval;
-        run.cfg.obs.heatmapEnabled = spec.obs.heatmap;
-        if (hooks.tweak)
-            hooks.tweak(j, run.cfg);
-        run.cfg.validate();
-
-        workload::RunOptions ro;
-        ro.tickLimit = spec.tickLimit;
         std::string report;
-        ro.report = &report;
-        const sys::RunOutcome outcome =
-            workload::runAppWithConfig(run.app, run.cfg, run.flavor,
-                                       j.seed, j.preset.name, ro)
-                .outcome;
-
         JobRecord r;
         r.job = j;
-        r.outcome = outcome == sys::RunOutcome::Finished
-                        ? JobOutcome::Finished
-                    : outcome == sys::RunOutcome::Deadlock
-                        ? JobOutcome::Deadlock
-                        : JobOutcome::TickLimit;
+        r.outcome = outcomeOfExit(
+            exitCodeFor(runJob(spec, j, hooks, &report)));
         ingestReport(r, spec, parseJson(report));
         out.push_back(std::move(r));
     }

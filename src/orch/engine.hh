@@ -3,23 +3,27 @@
  * Campaign engine: expands a CampaignSpec and executes the job list.
  *
  * Two executors differ only in where a job runs; what it runs and
- * how it is recorded is shared (see orch/job.hh):
+ * how it is recorded is shared (see orch/job.hh). Both run a job
+ * through one function: resolveJob(), the spec's obs directives,
+ * then workload::runAppWithConfig().
  *
- *  - runCampaign(): a fork/exec worker pool runs each job as an
- *    isolated misar_sim process, enforcing wall-clock timeouts
- *    (kill + bounded retry), classifying outcomes from exit codes
- *    (see orch/exit_codes.hh), journaling every terminal job to the
- *    append-only manifest (resume support), and re-reading each
- *    job's JSON run report for aggregation. misar_sim turns the
- *    job's flags back into a JobSpec and runs it like the
- *    in-process executor does.
+ *  - runCampaign(): a fork worker pool runs each job in a child of
+ *    this process, which calls the job function, writes the job's
+ *    durable run report (and heatmap) under jobs/, and exits with
+ *    the outcome's exit code (see orch/exit_codes.hh). The engine
+ *    enforces wall-clock timeouts (kill + bounded retry), journals
+ *    every terminal job to the append-only manifest (resume
+ *    support), and re-reads each job's JSON run report for
+ *    aggregation. A finished job's log is empty; nothing produces
+ *    "spawn-error".
  *
  *  - runCampaignInProcess(): the same grid executed serially in
- *    this process: resolveJob(), workload::runAppWithConfig(), and
- *    the same report ingestion over the report text the run hands
- *    back. Used by unit tests, the fig6/resil bench harnesses and
- *    the reproduction benchmark. For identical seeds both executors
- *    produce byte-identical campaign reports.
+ *    this process, ingesting the report text the run hands back.
+ *    Used by unit tests, the fig6/resil bench harnesses and the
+ *    reproduction benchmark.
+ *
+ * Either way a job's meta.preset is its preset's name, and for
+ * identical seeds both executors produce byte-identical reports.
  */
 
 #ifndef MISAR_ORCH_ENGINE_HH
@@ -35,7 +39,7 @@
 namespace misar {
 namespace orch {
 
-/** Options for the subprocess executor. */
+/** Options for the worker-pool executor. */
 struct EngineOptions
 {
     std::string outDir = "campaign-out";
@@ -43,8 +47,6 @@ struct EngineOptions
     unsigned workers = 0;
     /** Skip jobs already journaled in the manifest. */
     bool resume = false;
-    /** Path to the misar_sim binary. */
-    std::string simPath = "misar_sim";
     /** Print per-job progress lines. */
     bool verbose = true;
     /**
@@ -94,7 +96,8 @@ bool runCampaign(const CampaignSpec &spec, const EngineOptions &opts,
                  std::string &err);
 
 /** Per-job config customization hook for the in-process engine,
- *  applied after resolveJob() and the spec's obs directives. */
+ *  applied after resolveJob() and the spec's obs directives (the
+ *  worker-pool executor uses one to place each job's artifacts). */
 struct InProcessHooks
 {
     std::function<void(const JobSpec &, SystemConfig &)> tweak;

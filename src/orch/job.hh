@@ -5,8 +5,8 @@
  * in-process executor both call it), workload::runAppWithConfig()
  * runs it and writes its JSON run report, and the engine fills the
  * JobRecord the aggregator consumes by parsing that report text —
- * read back from disk for a misar_campaign subprocess job, handed
- * over in memory for an in-process one. Both executors therefore
+ * read back from disk for a job a forked worker ran, handed over in
+ * memory for an in-process one. Both executors therefore
  * run the same code on the same configuration and record the same
  * values, which is what makes parallel campaigns byte-reproducible
  * against the serial harnesses.
@@ -60,7 +60,7 @@ enum class JobOutcome
     Error,      ///< fatal(): bad config/flags (exit 1, never retried)
     Crash,      ///< killed by a signal / abnormal exit (retried)
     Timeout,    ///< wall-clock deadline hit, SIGKILLed (retried)
-    SpawnError, ///< binary missing / exec failed (exit 127)
+    SpawnError, ///< never produced; reports keep its key
     Missing,    ///< never ran (campaign stopped before this job)
 };
 

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -22,6 +23,29 @@ nowSec()
     using clock = std::chrono::steady_clock;
     return std::chrono::duration<double>(clock::now().time_since_epoch())
         .count();
+}
+
+/**
+ * A forked child's whole life. _exit() skips the parent's atexit
+ * handlers and static destructors; noexcept makes an exception from
+ * the body a crash instead of unwinding into the parent's pool loop.
+ */
+[[noreturn]] void
+runChild(const PoolTask &task) noexcept
+{
+    if (!task.logPath.empty()) {
+        int fd = ::open(task.logPath.c_str(),
+                        O_WRONLY | O_CREAT | O_APPEND, 0644);
+        if (fd >= 0) {
+            ::dup2(fd, STDOUT_FILENO);
+            ::dup2(fd, STDERR_FILENO);
+            if (fd > STDERR_FILENO)
+                ::close(fd);
+        }
+    }
+    const int status = task.body();
+    std::fflush(nullptr);
+    ::_exit(status);
 }
 
 } // namespace
@@ -49,34 +73,14 @@ ProcessPool::spawnOne(const OnSpawn &onSpawn)
     PoolTask task = std::move(queue.front());
     queue.erase(queue.begin());
 
+    // Output buffered before the fork would otherwise be written by
+    // both processes.
+    std::fflush(nullptr);
     pid_t pid = ::fork();
-    if (pid < 0) {
-        // Report the attempt as unspawnable via a synthetic child:
-        // the caller's OnDone sees spawned=false through the running
-        // map would never fire, so fail fast here instead.
+    if (pid < 0)
         panic("fork failed: %s", std::strerror(errno));
-    }
-    if (pid == 0) {
-        // Child: redirect stdout+stderr to the log, then exec.
-        if (!task.logPath.empty()) {
-            int fd = ::open(task.logPath.c_str(),
-                            O_WRONLY | O_CREAT | O_APPEND, 0644);
-            if (fd >= 0) {
-                ::dup2(fd, STDOUT_FILENO);
-                ::dup2(fd, STDERR_FILENO);
-                if (fd > STDERR_FILENO)
-                    ::close(fd);
-            }
-        }
-        std::vector<char *> argv;
-        argv.reserve(task.argv.size() + 1);
-        for (const std::string &a : task.argv)
-            argv.push_back(const_cast<char *>(a.c_str()));
-        argv.push_back(nullptr);
-        ::execv(argv[0], argv.data());
-        // exec failed: 127 is the shell's "command not found".
-        ::_exit(127);
-    }
+    if (pid == 0)
+        runChild(task);
 
     Running r;
     r.task = std::move(task);
@@ -110,7 +114,6 @@ ProcessPool::run(const OnDone &onDone, const OnSpawn &onSpawn)
 
             PoolOutcome out;
             out.id = done.task.id;
-            out.spawned = true;
             out.wallSec = nowSec() - done.startSec;
             totalBusySec += out.wallSec;
             if (r < 0) {

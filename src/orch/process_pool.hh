@@ -1,13 +1,19 @@
 /**
  * @file
- * Fork/exec worker pool with wall-clock timeout enforcement.
+ * Fork worker pool with wall-clock timeout enforcement.
  *
- * The pool runs queued command lines with at most N concurrent child
- * processes, redirecting each child's stdout+stderr to a log file.
- * A task whose wall-clock deadline passes is SIGKILLed and reported
- * as timed out. The completion callback may push further tasks (the
+ * The pool runs queued tasks with at most N concurrent child
+ * processes. Each child is a fork of the calling process: it
+ * redirects its stdout+stderr to the task's log file, calls the
+ * task's body and exits with the body's return value, so a body
+ * that crashes or hangs takes down only its own process. A task
+ * whose wall-clock deadline passes is SIGKILLed and reported as
+ * timed out. The completion callback may push further tasks (the
  * engine uses this to retry crashed jobs), so the pool drains queue
  * and running set together.
+ *
+ * The child runs arbitrary code after fork(), so run() must be
+ * called while the process has no other threads.
  *
  * The pool is single-threaded: it polls children with
  * waitpid(WNOHANG) on a short cadence, which also serves as the
@@ -28,20 +34,20 @@
 namespace misar {
 namespace orch {
 
-/** One command line to run. */
+/** One unit of work for a forked child. */
 struct PoolTask
 {
-    unsigned id = 0;                ///< caller-chosen task identity
-    std::vector<std::string> argv;  ///< argv[0] = executable path
-    std::string logPath;            ///< stdout+stderr (appended)
-    double timeoutSec = 0.0;        ///< 0 = no deadline
+    unsigned id = 0; ///< caller-chosen task identity
+    /** Runs in the child; its return value is the exit status. */
+    std::function<int()> body;
+    std::string logPath;     ///< stdout+stderr (appended)
+    double timeoutSec = 0.0; ///< 0 = no deadline
 };
 
 /** How one task attempt ended. */
 struct PoolOutcome
 {
     unsigned id = 0;
-    bool spawned = false;  ///< fork succeeded (exec failure -> 127)
     bool exited = false;   ///< child exited (vs. was signaled)
     int exitCode = -1;     ///< valid when exited
     int termSignal = 0;    ///< valid when !exited

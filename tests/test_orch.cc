@@ -1,16 +1,22 @@
 /**
  * @file
- * Campaign-engine tests: JSON parser, spec expansion, manifest
- * journal, process pool, outcome propagation through run reports,
- * crash-report durability, and the subprocess end-to-end path
- * (spawn, exit-code classification, chaos kill + retry, resume).
+ * Campaign-engine tests: JSON parser, spec parsing and expansion,
+ * manifest journal, process pool, outcome propagation through run
+ * reports, crash-report durability, the worker-pool end-to-end path
+ * (fork, exit-code classification, chaos kill + retry, resume), and
+ * the misar_sim and misar_campaign command lines.
  */
 
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -179,6 +185,118 @@ TEST(OrchSpec, ValidateCatchesBadInput)
     EXPECT_NE(spec.validate().find("baseline"), std::string::npos);
 }
 
+TEST(OrchSpec, RejectsUnknownKeysAndWrongTypes)
+{
+    // Each case changes one member of a valid spec. Read leniently,
+    // each would run a different grid than written (a typo'd key or
+    // a quoted number silently falls back to the default).
+    auto spec = [](const std::string &preset, const std::string &extra) {
+        return R"({"presets": [)" + preset + R"(], "apps": ["fft"])" +
+               extra + "}";
+    };
+    // A valid preset object, or one with member @p m added.
+    auto preset = [](const std::string &m = "") {
+        return R"({"config": "msa-omu")" + (m.empty() ? "" : ", " + m) +
+               "}";
+    };
+    struct Case
+    {
+        std::string preset, extra;
+        const char *needle;
+    };
+    const Case cases[] = {
+        {preset(), R"(, "seed": [7])", "unknown spec key 'seed'"},
+        {preset(R"("entires": 1)"), "",
+         "unknown preset key 'entires'"},
+        {preset(), R"(, "obs": {"heatmaps": true})",
+         "unknown \"obs\" key 'heatmaps'"},
+        {preset(R"("entries": "1")"), "",
+         "\"presets[0].entries\" must be a non-negative integer"},
+        {preset(R"("entries": 1.5)"), "",
+         "\"presets[0].entries\" must be a non-negative integer"},
+        {preset(R"("entries": 5000000000)"), "",
+         "\"presets[0].entries\" must be a non-negative integer"},
+        {preset(R"("hwsync": "false")"), "",
+         "\"presets[0].hwsync\" must be true or false"},
+        {preset(R"("omu": 0)"), "",
+         "\"presets[0].omu\" must be true or false"},
+        {preset(R"("smt": -1)"), "",
+         "\"presets[0].smt\" must be a non-negative integer"},
+        {preset(R"("threads": "4")"), "",
+         "\"presets[0].threads\" must be a non-negative integer"},
+        {preset(R"("seeds": [1, "2"])"), "",
+         "\"presets[0].seeds\" must be an array of non-negative integers"},
+        {R"("baseline", {"name": 3, "config": "msa-omu"})", "",
+         "\"presets[1].name\" must be a string"},
+        {R"({"config": ["msa-omu"]})", "",
+         "\"presets[0].config\" must be a string"},
+        {preset(), R"(, "name": 5)", "\"name\" must be a string"},
+        {preset(), R"(, "seeds": ["3"])",
+         "\"seeds\" must be an array of non-negative integers"},
+        {preset(), R"(, "cores": 16)",
+         "\"cores\" must be an array of non-negative integers"},
+        {preset(), R"(, "reps": "2")",
+         "\"reps\" must be a non-negative integer"},
+        {preset(), R"(, "tickLimit": -1)",
+         "\"tickLimit\" must be a non-negative integer"},
+        {preset(), R"(, "timeoutSec": "60")",
+         "\"timeoutSec\" must be a number"},
+        {preset(), R"(, "maxRetries": true)",
+         "\"maxRetries\" must be a non-negative integer"},
+        {preset(), R"(, "baseline": ["msa-omu"])",
+         "\"baseline\" must be a string"},
+        {preset(), R"(, "stats": ["sync.hwOps", 1])",
+         "\"stats\" must be an array of strings"},
+        {preset(), R"(, "obs": {"sampleInterval": "1000"})",
+         "\"obs.sampleInterval\" must be a non-negative integer"},
+        {preset(), R"(, "obs": {"heatmap": 1})",
+         "\"obs.heatmap\" must be true or false"},
+        {preset(), R"(, "server": {"serviceDist": 1})",
+         "\"server.serviceDist\" must be a string"},
+        {preset(), R"(, "server": {"queueCap": "32"})",
+         "\"server.queueCap\" must be a non-negative integer"},
+        {preset(), R"(, "server": {"slo": "20000"})",
+         "\"server.slo\" must be a non-negative integer"},
+        {preset(),
+         R"(, "server": {"retryPolicies": ["budgeted"],)"
+         R"( "retryBudget": "0.1"})",
+         "\"server.retryBudget\" must be a number"},
+        {preset(), R"(, "server": {"retryPolicies": "none"})",
+         "\"server.retryPolicies\" must be an array of strings"},
+        {preset(), R"(, "server": {"tenantMixes": [13]})",
+         "\"server.tenantMixes\" must be an array of strings"},
+    };
+    CampaignSpec s;
+    std::string err;
+    ASSERT_TRUE(CampaignSpec::parse(spec(preset(), ""), s, err)) << err;
+    for (const Case &c : cases) {
+        const std::string text = spec(c.preset, c.extra);
+        SCOPED_TRACE(text);
+        err.clear();
+        EXPECT_FALSE(CampaignSpec::parse(text, s, err));
+        EXPECT_NE(err.find(c.needle), std::string::npos) << err;
+    }
+}
+
+TEST(OrchSpec, CheckedInSpecsParseAndValidate)
+{
+    unsigned specs = 0;
+    for (const auto &f :
+         std::filesystem::directory_iterator(MISAR_CAMPAIGN_SPEC_DIR)) {
+        if (f.path().extension() != ".json")
+            continue;
+        SCOPED_TRACE(f.path().string());
+        CampaignSpec spec;
+        std::string err;
+        EXPECT_TRUE(CampaignSpec::parseFile(f.path().string(), spec, err))
+            << err;
+        EXPECT_EQ(spec.validate(), "");
+        EXPECT_FALSE(spec.expand().empty());
+        ++specs;
+    }
+    EXPECT_GT(specs, 0u);
+}
+
 TEST(OrchSpec, OutcomeNamesRoundTrip)
 {
     const JobOutcome all[] = {
@@ -270,21 +388,28 @@ TEST(OrchManifest, RejectsMismatchedGrid)
 
 // ---------------------------------------------------------------- pool
 
-TEST(OrchPool, ReportsExitCodesAndExecFailures)
+TEST(OrchPool, ReportsExitCodesAndSignals)
 {
     const std::string dir = tmpDir();
     ProcessPool pool(2);
     std::map<unsigned, PoolOutcome> got;
-    auto push = [&](unsigned id, std::vector<std::string> argv) {
+    auto push = [&](unsigned id, std::function<int()> body) {
         PoolTask t;
         t.id = id;
-        t.argv = std::move(argv);
+        t.body = std::move(body);
         t.logPath = dir + "/" + std::to_string(id) + ".log";
         pool.push(t);
     };
-    push(0, {"/bin/sh", "-c", "echo out; exit 0"});
-    push(1, {"/bin/sh", "-c", "exit 41"});
-    push(2, {"/nonexistent/binary"});
+    // Output the child leaves buffered must still reach its log.
+    push(0, [] {
+        std::printf("out\n");
+        return 0;
+    });
+    push(1, [] { return 41; });
+    push(2, [] {
+        ::raise(SIGKILL);
+        return 0;
+    });
     pool.run([&](const PoolTask &t, const PoolOutcome &o) {
         got[t.id] = o;
     });
@@ -293,8 +418,10 @@ TEST(OrchPool, ReportsExitCodesAndExecFailures)
     EXPECT_TRUE(got[0].exited);
     EXPECT_EQ(got[0].exitCode, 0);
     EXPECT_EQ(got[1].exitCode, 41);
-    EXPECT_EQ(got[2].exitCode, 127); // exec failure convention
-    EXPECT_NE(slurp(dir + "/0.log").find("out"), std::string::npos);
+    EXPECT_FALSE(got[2].exited);
+    EXPECT_EQ(got[2].termSignal, SIGKILL);
+    EXPECT_FALSE(got[2].timedOut);
+    EXPECT_EQ(slurp(dir + "/0.log"), "out\n");
 }
 
 TEST(OrchPool, KillsTasksPastTheirDeadline)
@@ -303,7 +430,10 @@ TEST(OrchPool, KillsTasksPastTheirDeadline)
     ProcessPool pool(1);
     PoolTask t;
     t.id = 0;
-    t.argv = {"/bin/sh", "-c", "sleep 30"};
+    t.body = [] {
+        ::sleep(30);
+        return 0;
+    };
     t.logPath = dir + "/t.log";
     t.timeoutSec = 0.2;
     pool.push(t);
@@ -320,7 +450,7 @@ TEST(OrchPool, OnDoneMayPushRetries)
     ProcessPool pool(2);
     PoolTask t;
     t.id = 7;
-    t.argv = {"/bin/sh", "-c", "exit 3"};
+    t.body = [] { return 3; };
     t.logPath = dir + "/t.log";
     pool.push(t);
     unsigned attempts = 0;
@@ -472,6 +602,90 @@ TEST(OrchRunReportDeathTest, PanicStillWritesDurableReport)
 
 // -------------------------------------------------------------- engine
 
+namespace {
+
+/**
+ * One grid per job axis the smoke spec leaves at its default: the
+ * server rate x retry-policy sweep with every server override, the
+ * tenant-mix sweep, and an SMT preset. Each preset is named after
+ * its config, the label misar_sim gives its runs.
+ */
+const char *const jobAxisGrids[] = {
+    R"({"name": "rates-policies",
+        "presets": [{"name": "msa-omu", "config": "msa-omu",
+                     "entries": 16}],
+        "apps": ["server-poisson"], "cores": [16], "seeds": [1, 2],
+        "server": {"arrivalRates": [4, 8],
+                   "retryPolicies": ["none", "budgeted"],
+                   "slo": 20000, "queueCap": 32,
+                   "retryBudget": 0.2},
+        "timeoutSec": 120})",
+    R"({"name": "tenants",
+        "presets": [{"name": "msa-omu", "config": "msa-omu",
+                     "entries": 16}],
+        "apps": ["server-poisson"], "cores": [16], "seeds": [1, 2],
+        "server": {"tenantMixes": ["2:2", "2:6"], "slo": 20000},
+        "timeoutSec": 120})",
+    R"({"name": "smt",
+        "presets": [{"name": "msa-omu", "config": "msa-omu", "smt": 2}],
+        "apps": ["fft"], "cores": [16],
+        "timeoutSec": 120})",
+};
+
+/** misar_sim's flags for job @p j of @p spec. */
+std::string
+simFlags(const CampaignSpec &spec, const JobSpec &j)
+{
+    std::ostringstream os;
+    os << "--app " << j.app << " --config " << j.preset.config
+       << " --cores " << j.cores << " --entries " << j.preset.entries
+       << " --seed " << j.seed << " --tick-limit " << spec.tickLimit;
+    if (j.preset.smt != 1)
+        os << " --smt " << j.preset.smt;
+    if (j.preset.threads != 1)
+        os << " --threads " << j.preset.threads;
+    if (!j.preset.hwsync)
+        os << " --no-hwsync";
+    if (!j.preset.omu)
+        os << " --no-omu";
+    if (j.arrivalRate > 0)
+        os << " --arrival-rate " << formatRate(j.arrivalRate);
+    if (!spec.server.serviceDist.empty())
+        os << " --service-dist " << spec.server.serviceDist;
+    if (spec.server.queueCap)
+        os << " --queue-cap " << spec.server.queueCap;
+    if (spec.server.slo)
+        os << " --slo " << spec.server.slo;
+    if (!j.retryPolicy.empty()) {
+        os << " --retry-policy " << j.retryPolicy;
+        // misar_sim accepts a budget only for the budgeted policy.
+        if (spec.server.retryBudget > 0 && j.retryPolicy == "budgeted")
+            os << " --retry-budget " << formatRate(spec.server.retryBudget);
+    }
+    if (!j.tenantMix.empty())
+        os << " --tenants " << j.tenantMix;
+    return os.str();
+}
+
+/** Run a shell command; its exit code, with stdout+stderr in @p out. */
+int
+runCommand(const std::string &cmd, std::string &out)
+{
+    FILE *p = ::popen((cmd + " 2>&1").c_str(), "r");
+    EXPECT_NE(p, nullptr) << cmd;
+    if (!p)
+        return -1;
+    char buf[512];
+    out.clear();
+    while (std::fgets(buf, sizeof(buf), p))
+        out += buf;
+    const int st = ::pclose(p);
+    return WIFEXITED(st) ? WEXITSTATUS(st) : -1;
+}
+
+} // namespace
+
+
 TEST(OrchEngine, InProcessRunsAreDeterministic)
 {
     CampaignSpec spec = smokeSpec();
@@ -506,7 +720,6 @@ TEST(OrchEngine, SubprocessMatchesInProcessAndResumes)
     EngineOptions opts;
     opts.outDir = dir + "/fresh";
     opts.workers = 2;
-    opts.simPath = MISAR_SIM_PATH;
     opts.verbose = false;
 
     std::vector<JobRecord> sub;
@@ -559,35 +772,11 @@ TEST(OrchEngine, SubprocessMatchesInProcessAndResumes)
 
 TEST(OrchEngine, ExecutorsAgreeOnEveryJobAxis)
 {
-    // One grid per job axis the smoke spec leaves at its default: the
-    // server rate x retry-policy sweep with every server override,
-    // the tenant-mix sweep, and an SMT preset. Both executors resolve,
-    // run and record each job through the same code, so the three
+    // Both executors resolve, run and record each job through the
+    // same code, so every job's run report and the three campaign
     // report files must agree byte for byte.
-    const char *texts[] = {
-        R"({"name": "rates-policies",
-            "presets": [{"name": "MSA", "config": "msa-omu",
-                         "entries": 16}],
-            "apps": ["server-poisson"], "cores": [16], "seeds": [1, 2],
-            "server": {"arrivalRates": [4, 8],
-                       "retryPolicies": ["none", "budgeted"],
-                       "slo": 20000, "queueCap": 32,
-                       "retryBudget": 0.2},
-            "timeoutSec": 120})",
-        R"({"name": "tenants",
-            "presets": [{"name": "MSA", "config": "msa-omu",
-                         "entries": 16}],
-            "apps": ["server-poisson"], "cores": [16], "seeds": [1, 2],
-            "server": {"tenantMixes": ["2:2", "2:6"], "slo": 20000},
-            "timeoutSec": 120})",
-        R"({"name": "smt",
-            "presets": [{"name": "MSA-SMT2", "config": "msa-omu",
-                         "smt": 2}],
-            "apps": ["fft"], "cores": [16],
-            "timeoutSec": 120})",
-    };
     const std::string dir = tmpDir();
-    for (const char *text : texts) {
+    for (const char *text : jobAxisGrids) {
         CampaignSpec spec;
         std::string err;
         ASSERT_TRUE(CampaignSpec::parse(text, spec, err)) << err;
@@ -597,15 +786,26 @@ TEST(OrchEngine, ExecutorsAgreeOnEveryJobAxis)
         EngineOptions opts;
         opts.outDir = dir + "/" + spec.name;
         opts.workers = 2;
-        opts.simPath = MISAR_SIM_PATH;
         opts.verbose = false;
         std::vector<JobRecord> sub;
         CampaignRunStats stats;
         ASSERT_TRUE(runCampaign(spec, opts, sub, stats, err)) << err;
-        const std::vector<JobRecord> inproc = runCampaignInProcess(spec);
+        auto inprocReport = [&](unsigned id) {
+            return opts.outDir + "-inproc-" + std::to_string(id) + ".json";
+        };
+        InProcessHooks hooks;
+        hooks.tweak = [&](const JobSpec &j, SystemConfig &cfg) {
+            cfg.obs.statsJsonPath = inprocReport(j.id);
+        };
+        const std::vector<JobRecord> inproc =
+            runCampaignInProcess(spec, hooks);
         ASSERT_EQ(sub.size(), inproc.size());
-        for (const JobRecord &r : sub)
+        for (const JobRecord &r : sub) {
             EXPECT_EQ(r.outcome, JobOutcome::Finished) << r.job.key();
+            EXPECT_EQ(slurp(opts.outDir + "/" + jobReportRelPath(r.job.id)),
+                      slurp(inprocReport(r.job.id)))
+                << r.job.key();
+        }
 
         const CampaignReport a(spec, sub), b(spec, inproc);
         std::ostringstream ja, jb, ca, cb, ta, tb;
@@ -621,6 +821,48 @@ TEST(OrchEngine, ExecutorsAgreeOnEveryJobAxis)
     }
 }
 
+TEST(OrchEngine, SimFlagsReproduceSpecJobs)
+{
+    // Campaign jobs do not go through misar_sim, so this pins its
+    // flags to the spec's jobs: run with the flags that describe a
+    // job, misar_sim writes the job's in-process report byte for
+    // byte.
+    const std::string dir = tmpDir();
+    for (const char *text : jobAxisGrids) {
+        CampaignSpec spec;
+        std::string err;
+        ASSERT_TRUE(CampaignSpec::parse(text, spec, err)) << err;
+        ASSERT_EQ(spec.validate(), "");
+        SCOPED_TRACE(spec.name);
+
+        auto path = [&](const char *executor, unsigned id) {
+            return dir + "/" + spec.name + "-" + executor + "-" +
+                   std::to_string(id) + ".json";
+        };
+        InProcessHooks hooks;
+        hooks.tweak = [&](const JobSpec &j, SystemConfig &cfg) {
+            cfg.obs.statsJsonPath = path("inproc", j.id);
+        };
+        const std::vector<JobRecord> inproc =
+            runCampaignInProcess(spec, hooks);
+        ASSERT_EQ(inproc.size(), spec.expand().size());
+        for (const JobSpec &j : spec.expand()) {
+            SCOPED_TRACE(j.key());
+            const std::string flags = simFlags(spec, j);
+            std::string out;
+            EXPECT_EQ(runCommand(std::string(MISAR_SIM_PATH) + " " + flags +
+                                     " --stats-json " + path("sim", j.id),
+                                 out),
+                      0)
+                << flags << "\n"
+                << out;
+            const std::string report = slurp(path("inproc", j.id));
+            EXPECT_FALSE(report.empty());
+            EXPECT_EQ(slurp(path("sim", j.id)), report) << flags;
+        }
+    }
+}
+
 TEST(OrchEngine, ResumeRejectsChangedGrid)
 {
     CampaignSpec spec = smokeSpec();
@@ -628,7 +870,6 @@ TEST(OrchEngine, ResumeRejectsChangedGrid)
     EngineOptions opts;
     opts.outDir = dir;
     opts.workers = 2;
-    opts.simPath = MISAR_SIM_PATH;
     opts.verbose = false;
 
     std::vector<JobRecord> recs;
@@ -664,7 +905,6 @@ TEST(OrchEngine, ClassifiesTickLimitFromExitCode)
     EngineOptions opts;
     opts.outDir = dir;
     opts.workers = 1;
-    opts.simPath = MISAR_SIM_PATH;
     opts.verbose = false;
 
     std::vector<JobRecord> recs;
@@ -686,3 +926,48 @@ TEST(OrchEngine, ClassifiesTickLimitFromExitCode)
     EXPECT_EQ(doc.at("meta").at("outcome").stringOr(""),
               "limit-reached");
 }
+
+// ------------------------------------------------------------------ cli
+
+TEST(OrchCli, BadCampaignFlagsAreRejected)
+{
+    // --dry-run: a flag that slipped through would exit 0 here.
+    const std::string base = std::string(MISAR_CAMPAIGN_PATH) + " --spec " +
+                             MISAR_CAMPAIGN_SPEC_DIR + "/smoke.json " +
+                             "--dry-run ";
+    struct Case
+    {
+        const char *args;
+        const char *needle;
+    };
+    const Case cases[] = {
+        {"--workers -1", "--workers expects a decimal number, got '-1'"},
+        {"--workers abc", "--workers expects a decimal number, got 'abc'"},
+        {"--workers 4x", "--workers expects a decimal number, got '4x'"},
+        {"--workers 4294967296", "--workers 4294967296 is out of range"},
+        {"--stop-after x",
+         "--stop-after expects a positive decimal number, got 'x'"},
+        {"--stop-after 0",
+         "--stop-after expects a positive decimal number, got '0'"},
+        {"--chaos-kill-job x",
+         "--chaos-kill-job expects a decimal number, got 'x'"},
+        {"--chaos-kill-job -1",
+         "--chaos-kill-job expects a decimal number, got '-1'"},
+        {"--chaos-kill-job 2147483648",
+         "--chaos-kill-job 2147483648 is out of range"},
+    };
+    std::string out;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.args);
+        EXPECT_EQ(runCommand(base + c.args, out), 1) << out;
+        EXPECT_NE(out.find(c.needle), std::string::npos) << out;
+    }
+    // 0 workers still means hardware concurrency, and job 0 is a
+    // valid chaos target.
+    EXPECT_EQ(runCommand(base + "--workers 0 --chaos-kill-job 0 "
+                                "--stop-after 1",
+                         out),
+              0)
+        << out;
+}
+
