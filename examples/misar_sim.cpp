@@ -411,11 +411,15 @@ main(int argc, char **argv)
                 sync::SyncLib::flavorName(run.flavor));
     std::printf("makespan       : %llu cycles\n",
                 static_cast<unsigned long long>(r.makespan));
-    std::printf("sync ops       : %llu hardware / %llu software "
-                "(%.1f%% coverage)\n",
+    // Runs that never reach the sync unit (pthread, spinlock and
+    // MCS-Tour libraries) have no coverage to report.
+    char coverage[32] = "coverage n/a";
+    if (r.hwOps + r.swOps)
+        std::snprintf(coverage, sizeof coverage, "%.1f%% coverage",
+                      100.0 * r.hwCoverage);
+    std::printf("sync ops       : %llu hardware / %llu software (%s)\n",
                 static_cast<unsigned long long>(r.hwOps),
-                static_cast<unsigned long long>(r.swOps),
-                100.0 * r.hwCoverage);
+                static_cast<unsigned long long>(r.swOps), coverage);
     std::printf("silent locks   : %llu\n",
                 static_cast<unsigned long long>(r.silentLocks));
     const obs::ResilienceSummary &resil = r.resilience;

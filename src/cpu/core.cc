@@ -53,7 +53,11 @@ ThreadTask::~ThreadTask()
 Core::Core(EventQueue &eq, const CoreConfig &cfg, CoreId id,
            mem::L1Cache &l1, StatRegistry &stats)
     : eq(eq), cfg(cfg), _id(id), _l1(l1), stats(stats),
-      statPrefix("core" + std::to_string(id) + ".")
+      statPrefix("core" + std::to_string(id) + "."),
+      computeCycles(stats, statPrefix, "computeCycles"),
+      loads(stats, statPrefix, "loads"), stores(stats, statPrefix, "stores"),
+      atomics(stats, statPrefix, "atomics"),
+      syncInstrs(stats, statPrefix, "syncInstrs")
 {}
 
 void
@@ -104,7 +108,7 @@ Core::issue(const Op &op, OpAwaiter *aw, std::coroutine_handle<> h)
     const Tick t0 = eq.now();
     switch (op.type) {
       case OpType::Compute:
-        stats.counter(statPrefix + "computeCycles").inc(op.cycles);
+        computeCycles.inc(op.cycles);
         eq.scheduleL(_lane, op.cycles, [this, t0, h] {
             if (_killed)
                 return; // the corpse never resumes
@@ -114,7 +118,7 @@ Core::issue(const Op &op, OpAwaiter *aw, std::coroutine_handle<> h)
         break;
 
       case OpType::Read:
-        stats.counter(statPrefix + "loads").inc();
+        loads.inc();
         _l1.read(op.addr, [this, t0, a = op.addr, aw,
                            h](std::uint64_t v) {
             if (_killed)
@@ -126,7 +130,7 @@ Core::issue(const Op &op, OpAwaiter *aw, std::coroutine_handle<> h)
         break;
 
       case OpType::Write:
-        stats.counter(statPrefix + "stores").inc();
+        stores.inc();
         _l1.write(op.addr, op.value, [this, t0, a = op.addr, aw,
                                       h](std::uint64_t old) {
             if (_killed)
@@ -138,7 +142,7 @@ Core::issue(const Op &op, OpAwaiter *aw, std::coroutine_handle<> h)
         break;
 
       case OpType::Atomic:
-        stats.counter(statPrefix + "atomics").inc();
+        atomics.inc();
         _l1.atomic(op.addr, op.aop, op.value, op.value2,
                    [this, t0, a = op.addr, aw, h](std::uint64_t old) {
             if (_killed)
@@ -152,7 +156,7 @@ Core::issue(const Op &op, OpAwaiter *aw, std::coroutine_handle<> h)
       case OpType::Sync: {
         if (!syncUnit)
             panic("core %u: sync instruction with no sync unit", _id);
-        stats.counter(statPrefix + "syncInstrs").inc();
+        syncInstrs.inc();
         // The instruction acts as a memory fence and its actual
         // synchronization activity begins only when the instruction
         // is the next to commit (paper §3): charge the pipeline-drain

@@ -203,6 +203,13 @@ class Core
     mem::L1Cache &_l1;
     StatRegistry &stats;
     std::string statPrefix;
+    /** @name Per-op stats. @{ */
+    StatHandle computeCycles;
+    StatHandle loads;
+    StatHandle stores;
+    StatHandle atomics;
+    StatHandle syncInstrs;
+    /** @} */
     SyncUnit *syncUnit = nullptr;
 
     obs::Tracer *tracer = nullptr;

@@ -10,8 +10,15 @@ namespace mem {
 HomeSlice::HomeSlice(EventQueue &eq, const MemConfig &cfg, CoreId tile,
                      unsigned num_tiles, SendFn send, StatRegistry &stats)
     : eq(eq), cfg(cfg), tile(tile), numTiles(num_tiles),
-      send(std::move(send)), stats(stats),
-      statPrefix("tile" + std::to_string(tile) + ".llc.")
+      send(std::move(send)),
+      statPrefix("tile" + std::to_string(tile) + ".llc."),
+      setOverflows(stats, statPrefix, "setOverflows"),
+      llcEvictions(stats, statPrefix, "llcEvictions"),
+      coldMisses(stats, statPrefix, "coldMisses"),
+      transactions(stats, statPrefix, "transactions"),
+      invalidationsSent(stats, statPrefix, "invalidationsSent"),
+      msaGrants(stats, statPrefix, "msaGrants"),
+      writebacks(stats, statPrefix, "writebacks")
 {
     if (num_tiles > maxCores)
         fatal("HomeSlice supports at most %u tiles", maxCores);
@@ -68,7 +75,7 @@ HomeSlice::enforceCapacity(unsigned set)
         }
     }
     if (victim == invalidAddr) {
-        stats.counter(statPrefix + "setOverflows").inc();
+        setOverflows.inc();
         return; // every way pinned: overflow rather than deadlock
     }
     Entry &v = entries.at(victim);
@@ -77,7 +84,7 @@ HomeSlice::enforceCapacity(unsigned set)
             if (v.sharers.test(c))
                 sendMsg(c, MemOp::BackInv, victim);
     }
-    stats.counter(statPrefix + "llcEvictions").inc();
+    llcEvictions.inc();
     entries.erase(victim);
     res.erase(std::find(res.begin(), res.end(), victim));
 }
@@ -162,9 +169,9 @@ HomeSlice::start(Addr block, Job job)
     if (e.cold) {
         e.cold = false;
         lat += cfg.memLatency;
-        stats.counter(statPrefix + "coldMisses").inc();
+        coldMisses.inc();
     }
-    stats.counter(statPrefix + "transactions").inc();
+    transactions.inc();
     eq.schedule(lat, [this, block, job = std::move(job)]() mutable {
         if (job.msg) {
             if (job.msg->op == MemOp::PutM || job.msg->op == MemOp::PutE) {
@@ -210,7 +217,7 @@ HomeSlice::doRequest(Addr block, const std::shared_ptr<MemMsg> &msg)
                 ++invs;
             }
         }
-        stats.counter(statPrefix + "invalidationsSent").inc(invs);
+        invalidationsSent.inc(invs);
         auto grant = [this, block, req, req_was_sharer] {
             Entry &e2 = entry(block);
             e2.state = DState::Exclusive;
@@ -242,7 +249,7 @@ HomeSlice::doRequest(Addr block, const std::shared_ptr<MemMsg> &msg)
         }
         if (is_get_m) {
             sendMsg(owner, MemOp::Inv, block);
-            stats.counter(statPrefix + "invalidationsSent").inc();
+            invalidationsSent.inc();
             e.pendingAcks = 1;
             e.onAcked = [this, block, req] {
                 Entry &e2 = entry(block);
@@ -275,7 +282,7 @@ HomeSlice::doGrant(Addr block, Job job)
 {
     Entry &e = entry(block);
     const CoreId to = job.grantTo;
-    stats.counter(statPrefix + "msaGrants").inc();
+    msaGrants.inc();
 
     // Invalidate everyone except the grantee.
     unsigned invs = 0;
@@ -331,7 +338,7 @@ HomeSlice::doPut(Addr block, const std::shared_ptr<MemMsg> &msg)
     if (e.state == DState::Exclusive && e.owner == msg->src()) {
         e.state = DState::Uncached;
         e.owner = invalidCore;
-        stats.counter(statPrefix + "writebacks").inc();
+        writebacks.inc();
     }
 }
 

@@ -153,8 +153,16 @@ class HomeSlice
     CoreId tile;
     unsigned numTiles;
     SendFn send;
-    StatRegistry &stats;
     std::string statPrefix;
+    /** @name Per-transaction stats. @{ */
+    StatHandle setOverflows;
+    StatHandle llcEvictions;
+    StatHandle coldMisses;
+    StatHandle transactions;
+    StatHandle invalidationsSent;
+    StatHandle msaGrants;
+    StatHandle writebacks;
+    /** @} */
 
     std::unordered_map<Addr, Entry> entries;
     /** Resident block addresses per set (capacity bookkeeping). */

@@ -9,8 +9,14 @@ L1Cache::L1Cache(EventQueue &eq, const MemConfig &cfg, CoreId core,
                  unsigned num_tiles, FunctionalMem &fmem, SendFn send,
                  StatRegistry &stats, unsigned max_outstanding)
     : eq(eq), cfg(cfg), _core(core), numTiles(num_tiles), fmem(fmem),
-      send(std::move(send)), stats(stats),
+      send(std::move(send)),
       statPrefix("tile" + std::to_string(core) + ".l1."),
+      hits(stats, statPrefix, "hits"), misses(stats, statPrefix, "misses"),
+      evictions(stats, statPrefix, "evictions"),
+      deferredSnoops(stats, statPrefix, "deferredSnoops"),
+      crossedSnoops(stats, statPrefix, "crossedSnoops"),
+      invalidations(stats, statPrefix, "invalidations"),
+      backInvalidations(stats, statPrefix, "backInvalidations"),
       mshrs(max_outstanding ? max_outstanding : 1)
 {
     sets.resize(cfg.l1Sets);
@@ -80,7 +86,7 @@ L1Cache::evict(Line &line)
 {
     if (line.state == L1State::Invalid)
         return;
-    stats.counter(statPrefix + "evictions").inc();
+    evictions.inc();
     // Fire-and-forget: the home checks ownership, so a stale put that
     // crosses an Inv/Fwd in flight is dropped there harmlessly.
     if (line.state == L1State::Modified) {
@@ -134,12 +140,12 @@ L1Cache::read(Addr a, AccessCb cb)
     eq.schedule(cfg.l1HitLatency, [this, a, block, cb = std::move(cb)] {
         Line *line = findLine(block);
         if (line) {
-            stats.counter(statPrefix + "hits").inc();
+            hits.inc();
             touch(*line);
             cb(fmem.read(a));
             return;
         }
-        stats.counter(statPrefix + "misses").inc();
+        misses.inc();
         Mshr m;
         m.block = block;
         m.kind = Mshr::Kind::Read;
@@ -157,7 +163,7 @@ L1Cache::write(Addr a, std::uint64_t v, AccessCb cb)
         Line *line = findLine(block);
         if (line && (line->state == L1State::Modified ||
                      line->state == L1State::Exclusive)) {
-            stats.counter(statPrefix + "hits").inc();
+            hits.inc();
             line->state = L1State::Modified;
             touch(*line);
             std::uint64_t old = fmem.read(a);
@@ -165,7 +171,7 @@ L1Cache::write(Addr a, std::uint64_t v, AccessCb cb)
             cb(old);
             return;
         }
-        stats.counter(statPrefix + "misses").inc();
+        misses.inc();
         Mshr m;
         m.block = block;
         m.kind = Mshr::Kind::Write;
@@ -186,13 +192,13 @@ L1Cache::atomic(Addr a, AtomicOp op, std::uint64_t operand,
         Line *line = findLine(block);
         if (line && (line->state == L1State::Modified ||
                      line->state == L1State::Exclusive)) {
-            stats.counter(statPrefix + "hits").inc();
+            hits.inc();
             line->state = L1State::Modified;
             touch(*line);
             cb(fmem.atomic(a, op, operand, operand2));
             return;
         }
-        stats.counter(statPrefix + "misses").inc();
+        misses.inc();
         Mshr m;
         m.block = block;
         m.kind = Mshr::Kind::Atomic;
@@ -262,7 +268,7 @@ L1Cache::handleMessage(const std::shared_ptr<MemMsg> &msg)
             panic("L1 %u: second deferred snoop for block %llx", _core,
                   (unsigned long long)block);
         deferredMsgs[block] = msg;
-        stats.counter(statPrefix + "deferredSnoops").inc();
+        deferredSnoops.inc();
         if (tracer)
             tracer->instant(_track, eq.now(), "SNOOP_DEFER", block);
         return;
@@ -273,7 +279,7 @@ L1Cache::handleMessage(const std::shared_ptr<MemMsg> &msg)
             if (!slot.valid || slot.block != block)
                 continue;
             // Snoop crossed our in-flight fill (see Mshr::PostFill).
-            stats.counter(statPrefix + "crossedSnoops").inc();
+            crossedSnoops.inc();
             if (tracer)
                 tracer->instant(_track, eq.now(), "SNOOP_X", block);
             if (msg->op == MemOp::FwdGetS) {
@@ -315,7 +321,7 @@ L1Cache::handleMessage(const std::shared_ptr<MemMsg> &msg)
             line->state = L1State::Invalid;
             line->hwSync = false;
             line->block = invalidAddr;
-            stats.counter(statPrefix + "invalidations").inc();
+            invalidations.inc();
         }
         send(std::make_shared<MemMsg>(_core, home, MemOp::InvAck, block));
         break;
@@ -327,7 +333,7 @@ L1Cache::handleMessage(const std::shared_ptr<MemMsg> &msg)
             line->state = L1State::Invalid;
             line->hwSync = false;
             line->block = invalidAddr;
-            stats.counter(statPrefix + "backInvalidations").inc();
+            backInvalidations.inc();
         }
         break;
       }

@@ -181,8 +181,16 @@ class L1Cache
     unsigned numTiles;
     FunctionalMem &fmem;
     SendFn send;
-    StatRegistry &stats;
     std::string statPrefix;
+    /** @name Per-access and per-snoop stats. @{ */
+    StatHandle hits;
+    StatHandle misses;
+    StatHandle evictions;
+    StatHandle deferredSnoops;
+    StatHandle crossedSnoops;
+    StatHandle invalidations;
+    StatHandle backInvalidations;
+    /** @} */
 
     std::vector<std::vector<Line>> sets;
     /** One MSHR per hardware thread sharing this cache. */

@@ -38,7 +38,7 @@ IdealSyncUnit::lockRelease(Addr a, CoreId core)
 void
 IdealSyncUnit::execute(CoreId core, const cpu::Op &op, Cb cb)
 {
-    stats.counter("sync.hwOps").inc();
+    hwOps.inc();
     switch (op.instr) {
       case cpu::SyncInstr::Lock:
         lockAcquire(op.addr, Waiter{core, std::move(cb)});

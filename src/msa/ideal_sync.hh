@@ -22,7 +22,9 @@ namespace msa {
 class IdealSyncUnit : public cpu::SyncUnit
 {
   public:
-    explicit IdealSyncUnit(StatRegistry &stats) : stats(stats) {}
+    explicit IdealSyncUnit(StatRegistry &stats)
+        : hwOps(stats, "sync.hwOps")
+    {}
 
     void execute(CoreId core, const cpu::Op &op, Cb cb) override;
 
@@ -65,7 +67,7 @@ class IdealSyncUnit : public cpu::SyncUnit
     std::map<Addr, BarrierState> barriers;
     std::map<Addr, CondState> conds;
     std::map<Addr, RwState> rwlocks;
-    StatRegistry &stats;
+    StatHandle hwOps;
 };
 
 } // namespace msa

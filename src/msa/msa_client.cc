@@ -7,12 +7,51 @@
 namespace misar {
 namespace msa {
 
+namespace {
+
+/** Number of sync instructions that count as operations (all but
+ *  Finish, the last). */
+constexpr unsigned countedInstrs =
+    static_cast<unsigned>(cpu::SyncInstr::Finish);
+
+/** "sync.<INSTR>." for every counted instruction, by its value. */
+const std::vector<std::string> &
+instrStatPrefixes()
+{
+    static const std::vector<std::string> v = [] {
+        std::vector<std::string> p;
+        for (unsigned i = 0; i < countedInstrs; ++i)
+            p.push_back(std::string("sync.") +
+                        cpu::syncInstrName(static_cast<cpu::SyncInstr>(i)) +
+                        ".");
+        return p;
+    }();
+    return v;
+}
+
+} // namespace
+
 MsaClientHub::MsaClientHub(EventQueue &eq, const SystemConfig &cfg,
                            mem::MemSystem &ms, StatRegistry &stats,
                            const TileRuntime *rt)
     : eq(eq), cfg(cfg), ms(ms), stats(stats), rt(rt),
       cores(cfg.numThreads()), homeUnreachable(cfg.numCores, false)
 {
+    const unsigned registries =
+        rt && !rt->shards.empty() ? cfg.numCores : 1;
+    opStats.reserve(registries);
+    for (CoreId t = 0; t < registries; ++t) {
+        StatRegistry &st = rt ? rt->statsFor(t, stats) : stats;
+        OpStats &os = opStats.emplace_back(
+            OpStats{{st, "sync.swOps"}, {st, "sync.hwOps"},
+                    {st, "sync.silentLocks"}, {}});
+        os.byInstr.reserve(2 * countedInstrs);
+        for (const std::string &prefix : instrStatPrefixes()) {
+            os.byInstr.emplace_back(st, prefix, "sw");
+            os.byInstr.emplace_back(st, prefix, "hw");
+        }
+    }
+
     // Let every L1 ask "is this block a silently-held lock?" so it
     // can pin the line and defer snoops while the lock is held. The
     // cache is per tile: check every hardware thread living there.
@@ -62,10 +101,9 @@ MsaClientHub::countOp(CoreId core, const cpu::Op &op, bool hw)
 {
     if (op.instr == cpu::SyncInstr::Finish)
         return; // bookkeeping, not a synchronization operation
-    StatRegistry &st = statsOf(core);
-    st.counter(hw ? "sync.hwOps" : "sync.swOps").inc();
-    std::string name = cpu::syncInstrName(op.instr);
-    st.counter("sync." + name + (hw ? ".hw" : ".sw")).inc();
+    OpStats &os = opStatsOf(core);
+    (hw ? os.hwOps : os.swOps).inc();
+    os.byInstr[2 * static_cast<unsigned>(op.instr) + hw].inc();
 }
 
 void
@@ -174,7 +212,7 @@ MsaClientHub::execute(CoreId core, const cpu::Op &op, Cb cb)
                                           MsaOp::LockSilent, op.addr);
         m->requester = core;
         ms.send(std::move(m));
-        statsOf(core).counter("sync.silentLocks").inc();
+        opStatsOf(core).silentLocks.inc();
         countOp(core, op, true);
         if (profiler)
             profiler->onSilentAcquire(core, op.addr, eq.now());

@@ -213,6 +213,24 @@ class MsaClientHub : public cpu::SyncUnit
     /** Count one finished operation for coverage statistics. */
     void countOp(CoreId core, const cpu::Op &op, bool hw);
 
+    /** The op counters of one stat registry. Their names carry no
+     *  tile, so every thread counting into a registry shares one. */
+    struct OpStats
+    {
+        StatHandle swOps;
+        StatHandle hwOps;
+        StatHandle silentLocks;
+        /** sync.<INSTR>.sw and .hw, at 2 * instruction + hw. */
+        std::vector<StatHandle> byInstr;
+    };
+
+    /** The op counters @p core counts into. */
+    OpStats &
+    opStatsOf(CoreId core)
+    {
+        return opStats[opStats.size() == 1 ? 0 : cfg.tileOf(core)];
+    }
+
     CoreId homeOf(Addr a) const;
 
     /** @name Per-client routing (identity when rt is null). @{ */
@@ -241,6 +259,8 @@ class MsaClientHub : public cpu::SyncUnit
     StatRegistry &stats;
     const TileRuntime *rt;
     std::vector<PerCore> cores;
+    /** One per tile stat shard, or one for the shared registry. */
+    std::vector<OpStats> opStats;
 
     /** Homes cut off by a mesh partition (fast-fail new ops). */
     std::vector<bool> homeUnreachable;

@@ -11,6 +11,22 @@ MsaSlice::MsaSlice(EventQueue &eq, const SystemConfig &cfg, CoreId tile,
                    mem::HomeSlice &home, SendFn send, StatRegistry &stats)
     : eq(eq), cfg(cfg), tile(tile), home(home), send(std::move(send)),
       stats(stats), statPrefix("tile" + std::to_string(tile) + ".msa."),
+      requests(stats, statPrefix, "requests"),
+      deferrals(stats, statPrefix, "deferred"),
+      allocations(stats, statPrefix, "allocations"),
+      evictions(stats, statPrefix, "evictions"),
+      lockGrants(stats, statPrefix, "lockGrants"),
+      lockAborts(stats, statPrefix, "lockAborts"),
+      lockSuspends(stats, statPrefix, "lockSuspends"),
+      migratedUnlocks(stats, statPrefix, "migratedUnlocks"),
+      silentLocks(stats, statPrefix, "silentLocks"),
+      silentUnlocks(stats, statPrefix, "silentUnlocks"),
+      barrierReleases(stats, statPrefix, "barrierReleases"),
+      barrierAborts(stats, statPrefix, "barrierAborts"),
+      barrierSuspendsDeferred(stats, statPrefix, "barrierSuspendsDeferred"),
+      condSignals(stats, statPrefix, "condSignals"),
+      condBroadcasts(stats, statPrefix, "condBroadcasts"),
+      condAborts(stats, statPrefix, "condAborts"),
       infinite(cfg.msa.mode == AccelMode::MsaInfinite),
       _omu(cfg.msa.omuCounters, stats, statPrefix),
       txns(cfg.numThreads())
@@ -144,7 +160,7 @@ MsaSlice::retireEntry(MsaEntry &e)
     if (cfg.msa.omuEnabled) {
         traceInstant("EVICT", e.addr);
         freeEntry(e);
-        stats.counter(statPrefix + "evictions").inc();
+        evictions.inc();
         return;
     }
     // Without the OMU, deallocation is unsafe (paper §3.2): park the
@@ -203,7 +219,7 @@ void
 MsaSlice::defer(const std::shared_ptr<MsaMsg> &msg)
 {
     deferred.push_back(msg);
-    stats.counter(statPrefix + "deferred").inc();
+    deferrals.inc();
 }
 
 void
@@ -229,7 +245,7 @@ MsaSlice::handleMessage(std::shared_ptr<MsaMsg> msg)
 void
 MsaSlice::process(const std::shared_ptr<MsaMsg> &msg)
 {
-    stats.counter(statPrefix + "requests").inc();
+    requests.inc();
     if (buddy != invalidCore) {
         // Failed over: this slice is only a forwarding shell. Every
         // message — requests, retransmissions, even in-flight acks —
@@ -330,10 +346,10 @@ MsaSlice::dispatch(const std::shared_ptr<MsaMsg> &msg)
         break;
       case MsaOp::LockSilent:
         // Entry-less notification: the silent holder re-acquired.
-        stats.counter(statPrefix + "silentLocks").inc();
+        silentLocks.inc();
         break;
       case MsaOp::UnlockSilent:
-        stats.counter(statPrefix + "silentUnlocks").inc();
+        silentUnlocks.inc();
         break;
       case MsaOp::UnlockPin:
         doUnlockPin(msg);
@@ -392,7 +408,7 @@ MsaSlice::allocate(Addr addr)
             e.valid = true;
             e.addr = addr;
             entryIndex.insert(addr, static_cast<std::uint32_t>(i));
-            stats.counter(statPrefix + "allocations").inc();
+            allocations.inc();
             traceInstant("ALLOC", addr);
             return &e;
         }
@@ -406,7 +422,7 @@ MsaSlice::allocate(Addr addr)
         e.addr = addr;
         entryIndex.insert(addr,
                           static_cast<std::uint32_t>(entries.size() - 1));
-        stats.counter(statPrefix + "allocations").inc();
+        allocations.inc();
         traceInstant("ALLOC", addr);
         return &e;
     }
@@ -446,7 +462,7 @@ MsaSlice::grantLock(MsaEntry &e, CoreId core)
 {
     e.owner = core;
     const Addr addr = e.addr;
-    stats.counter(statPrefix + "lockGrants").inc();
+    lockGrants.inc();
     if (profiler)
         profiler->onGrant(addr, core);
 
@@ -710,7 +726,7 @@ MsaSlice::doUnlock(const std::shared_ptr<MsaMsg> &msg)
 
     // UNLOCK from a core that is not the recorded owner: the owning
     // thread migrated (paper §4.1.2).
-    stats.counter(statPrefix + "migratedUnlocks").inc();
+    migratedUnlocks.inc();
     if (e->pinCount == 0 && cfg.msa.omuEnabled) {
         // Paper behaviour: reply SUCCESS, abort every waiter to
         // software, free the entry, bump the OMU by the abort count.
@@ -727,7 +743,7 @@ MsaSlice::doUnlock(const std::shared_ptr<MsaMsg> &msg)
             omuInc(addr, aborted);
             traceInstant("ABORT", addr, aborted, true);
         }
-        stats.counter(statPrefix + "lockAborts").inc(aborted);
+        lockAborts.inc(aborted);
         freeEntry(*e);
         return;
     }
@@ -1006,7 +1022,7 @@ MsaSlice::releaseBarrier(MsaEntry &e)
     for (unsigned c = 0; c < cfg.numThreads(); ++c)
         if (e.hwQueue.test(c))
             respond(c, MsaOp::RespSuccess, e.addr);
-    stats.counter(statPrefix + "barrierReleases").inc();
+    barrierReleases.inc();
     traceInstant("BARRIER_RELEASE", e.addr, e.goal, true);
     if (profiler)
         profiler->onBarrierRelease(e.addr, eq.now());
@@ -1226,8 +1242,7 @@ MsaSlice::doCondSignal(const std::shared_ptr<MsaMsg> &msg, bool broadcast)
     }
 
     respond(signaler, MsaOp::RespSuccess, cond);
-    stats.counter(statPrefix +
-                  (broadcast ? "condBroadcasts" : "condSignals")).inc();
+    (broadcast ? condBroadcasts : condSignals).inc();
 
     const Addr lock = e->lockAddr;
     const CoreId lock_home = mem::homeTile(blockAlign(lock), cfg.numCores);
@@ -1336,7 +1351,7 @@ MsaSlice::doSuspend(const std::shared_ptr<MsaMsg> &msg)
             // re-sends it (same txn) after the resume delay, and that
             // re-send must pass the dedup gate.
             txns[core].seen = txns[core].done;
-            stats.counter(statPrefix + "lockSuspends").inc();
+            lockSuspends.inc();
             rwDrain(*e); // a parked reader batch may now be eligible
         }
         respond(core, MsaOp::SuspendAck, addr);
@@ -1349,7 +1364,7 @@ MsaSlice::doSuspend(const std::shared_ptr<MsaMsg> &msg)
             // re-send (same txn) pass the dedup gate.
             e->hwQueue.reset(core);
             txns[core].seen = txns[core].done;
-            stats.counter(statPrefix + "lockSuspends").inc();
+            lockSuspends.inc();
         }
         // Ack in all cases; if a grant crossed in flight it reaches
         // the client first (FIFO) and the ack is ignored there.
@@ -1363,7 +1378,7 @@ MsaSlice::doSuspend(const std::shared_ptr<MsaMsg> &msg)
             // when the thread is scheduled back in (the client
             // delays delivery by the resume latency). No software
             // fallback, no OMU traffic.
-            stats.counter(statPrefix + "barrierSuspendsDeferred").inc();
+            barrierSuspendsDeferred.inc();
             break;
         }
         if (e && !e->busy && e->type == SyncType::Barrier &&
@@ -1377,7 +1392,7 @@ MsaSlice::doSuspend(const std::shared_ptr<MsaMsg> &msg)
                 }
             }
             omuInc(addr, n);
-            stats.counter(statPrefix + "barrierAborts").inc();
+            barrierAborts.inc();
             traceInstant("ABORT", addr, n, true);
             freeEntry(*e);
         }
@@ -1389,7 +1404,7 @@ MsaSlice::doSuspend(const std::shared_ptr<MsaMsg> &msg)
             e->hwQueue.reset(core);
             respond(core, MsaOp::RespAbort, addr);
             omuInc(addr);
-            stats.counter(statPrefix + "condAborts").inc();
+            condAborts.inc();
             if (!e->hwQueue.any()) {
                 // Last waiter left without re-acquiring: unpin.
                 sendUnpin(e->lockAddr);

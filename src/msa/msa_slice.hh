@@ -379,6 +379,24 @@ class MsaSlice
     SendFn send;
     StatRegistry &stats;
     std::string statPrefix;
+    /** @name Per-request stats (fault counters use stats directly). @{ */
+    StatHandle requests;
+    StatHandle deferrals;
+    StatHandle allocations;
+    StatHandle evictions;
+    StatHandle lockGrants;
+    StatHandle lockAborts;
+    StatHandle lockSuspends;
+    StatHandle migratedUnlocks;
+    StatHandle silentLocks;
+    StatHandle silentUnlocks;
+    StatHandle barrierReleases;
+    StatHandle barrierAborts;
+    StatHandle barrierSuspendsDeferred;
+    StatHandle condSignals;
+    StatHandle condBroadcasts;
+    StatHandle condAborts;
+    /** @} */
 
     std::vector<MsaEntry> entries;
     /**

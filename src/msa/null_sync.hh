@@ -11,6 +11,8 @@
 #ifndef MISAR_MSA_NULL_SYNC_HH
 #define MISAR_MSA_NULL_SYNC_HH
 
+#include <vector>
+
 #include "cpu/core.hh"
 #include "sim/stats.hh"
 #include "sim/tile_runtime.hh"
@@ -27,23 +29,28 @@ class NullSyncUnit : public cpu::SyncUnit
     explicit NullSyncUnit(StatRegistry &stats,
                           const TileRuntime *rt = nullptr,
                           unsigned smtWays = 1)
-        : stats(stats), rt(rt), smtWays(smtWays ? smtWays : 1)
-    {}
+        : smtWays(smtWays ? smtWays : 1)
+    {
+        if (rt && !rt->shards.empty()) {
+            for (StatRegistry *shard : rt->shards)
+                swOps.emplace_back(*shard, "sync.swOps");
+        } else {
+            swOps.emplace_back(stats, "sync.swOps");
+        }
+    }
 
     void
     execute(CoreId core, const cpu::Op &op, Cb cb) override
     {
-        if (op.instr != cpu::SyncInstr::Finish) {
-            StatRegistry &st =
-                rt ? rt->statsFor(core / smtWays, stats) : stats;
-            st.counter("sync.swOps").inc();
-        }
+        if (op.instr != cpu::SyncInstr::Finish)
+            swOps[swOps.size() == 1 ? 0 : core / smtWays].inc();
         cb(cpu::SyncResult::Fail);
     }
 
   private:
-    StatRegistry &stats;
-    const TileRuntime *rt;
+    /** sync.swOps of each tile's shard, or of the one shared
+     *  registry. */
+    std::vector<StatHandle> swOps;
     const unsigned smtWays;
 };
 

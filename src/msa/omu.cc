@@ -7,7 +7,10 @@ namespace msa {
 
 Omu::Omu(unsigned num_counters, StatRegistry &stats,
          const std::string &stat_prefix)
-    : counters(num_counters, 0), stats(stats), statPrefix(stat_prefix)
+    : counters(num_counters, 0), statPrefix(stat_prefix),
+      saturations(stats, statPrefix, "omuSaturations"),
+      increments(stats, statPrefix, "omuIncrements"),
+      decrements(stats, statPrefix, "omuDecrements")
 {
     if (num_counters == 0)
         fatal("OMU requires at least one counter");
@@ -23,12 +26,12 @@ Omu::increment(Addr a, std::uint32_t n)
         // its addresses stay in software forever (safe: the OMU may
         // only ever steer operations *toward* software).
         if (c != saturatedValue)
-            stats.counter(statPrefix + "omuSaturations").inc();
+            saturations.inc();
         c = saturatedValue;
     } else {
         c += n;
     }
-    stats.counter(statPrefix + "omuIncrements").inc(n);
+    increments.inc(n);
 }
 
 void
@@ -38,14 +41,14 @@ Omu::decrement(Addr a, std::uint32_t n)
     if (c == saturatedValue) {
         // The counter overflowed in the past; decrements cannot be
         // applied meaningfully, so the bucket stays saturated.
-        stats.counter(statPrefix + "omuDecrements").inc(n);
+        decrements.inc(n);
         return;
     }
     if (c < n)
         panic("OMU counter underflow for addr %llx (have %u, dec %u)",
               static_cast<unsigned long long>(a), c, n);
     c -= n;
-    stats.counter(statPrefix + "omuDecrements").inc(n);
+    decrements.inc(n);
 }
 
 } // namespace msa

@@ -106,8 +106,10 @@ class Omu
     }
 
     std::vector<std::uint32_t> counters;
-    StatRegistry &stats;
     std::string statPrefix;
+    StatHandle saturations;
+    StatHandle increments;
+    StatHandle decrements;
 };
 
 } // namespace msa

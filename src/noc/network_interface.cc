@@ -12,6 +12,10 @@ NetworkInterface::NetworkInterface(EventQueue &eq, const NocConfig &cfg,
                                    Router &router, CoreId tile,
                                    StatRegistry &stats)
     : eq(eq), cfg(cfg), router(router), _tile(tile), stats(stats),
+      packetsSent(stats, "noc.packetsSent"),
+      packetsRecv(stats, "noc.packetsRecv"),
+      localLoopbacks(stats, "noc.localLoopbacks"),
+      packetLatency(stats, "noc.packetLatency"),
       nextSeq(static_cast<std::uint64_t>(tile) << 40)
 {
     for (unsigned v = 0; v < numVnets; ++v)
@@ -29,12 +33,12 @@ NetworkInterface::send(std::shared_ptr<Packet> pkt)
         return;
     }
     pkt->injectTick = eq.now();
-    stats.counter("noc.packetsSent").inc();
+    packetsSent.inc();
 
     if (pkt->dst() == _tile) {
         // Local loopback: bypass the mesh with a short fixed latency.
         Sink &s = sink;
-        stats.counter("noc.localLoopbacks").inc();
+        localLoopbacks.inc();
         eq.scheduleL(_lane, cfg.routerLatency, [&s, pkt] { s(pkt); });
         return;
     }
@@ -147,9 +151,9 @@ NetworkInterface::eject(Flit flit)
               static_cast<unsigned long long>(flit.packetSeq), got, expect);
     }
     reassembly.erase(flit.packetSeq);
-    stats.counter("noc.packetsRecv").inc();
-    stats.average("noc.packetLatency")
-        .sample(static_cast<double>(eq.now() - flit.pkt->injectTick));
+    packetsRecv.inc();
+    packetLatency.sample(
+        static_cast<double>(eq.now() - flit.pkt->injectTick));
     if (faultsArmed) {
         // Detour accounting: hops counts routers visited; an XY path
         // visits Manhattan distance + 1 of them.

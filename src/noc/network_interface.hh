@@ -182,6 +182,12 @@ class NetworkInterface
     CoreId _tile;
     LaneId _lane = 0;
     StatRegistry &stats;
+    /** @name Per-packet stats. @{ */
+    StatHandle packetsSent;
+    StatHandle packetsRecv;
+    StatHandle localLoopbacks;
+    AverageHandle packetLatency;
+    /** @} */
     Sink sink;
 
     struct OutPacket

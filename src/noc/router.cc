@@ -8,6 +8,18 @@
 namespace misar {
 namespace noc {
 
+namespace {
+
+/** Number of (input, vnet) buffers: bits in a request mask. */
+constexpr unsigned slots = numVnets * numPorts;
+static_assert(slots < 32, "a request mask is one unsigned word");
+
+/** The bits of input 0 on every vnet; shift left by an input. */
+static_assert(numVnets == 3, "allVnets lists one bit per vnet");
+constexpr unsigned allVnets = 1u | (1u << numPorts) | (1u << (2 * numPorts));
+
+} // namespace
+
 Router::Router(EventQueue &eq, const NocConfig &cfg, unsigned id, unsigned x,
                unsigned y, unsigned dim)
     : eq(eq), cfg(cfg), _id(id), x(x), y(y), dim(dim)
@@ -64,6 +76,7 @@ Router::acceptFlit(Port in, unsigned vnet, Flit flit)
     if (faultsArmed && flit.head)
         ++flit.pkt->hops; // detour accounting (vs. Manhattan distance)
     inBuf[in][vnet].push_back(std::move(flit));
+    occupied |= slotBit(in, vnet);
     scheduleTick();
 }
 
@@ -74,16 +87,6 @@ Router::returnCredit(Port out, unsigned vnet)
         panic("router %u output %u vnet %u credit overflow", _id, out, vnet);
     ++credits[out][vnet];
     scheduleTick();
-}
-
-bool
-Router::hasWork() const
-{
-    for (unsigned p = 0; p < numPorts; ++p)
-        for (unsigned v = 0; v < numVnets; ++v)
-            if (!inBuf[p][v].empty())
-                return true;
-    return false;
 }
 
 void
@@ -100,10 +103,8 @@ Router::creditUpstream(Port in, unsigned vnet)
 {
     if (in == portLocal) {
         // The NI lives on this tile's lane.
-        if (localCreditFn) {
-            auto fn = localCreditFn;
-            eq.scheduleL(_lane, 1, [fn, vnet] { fn(vnet); });
-        }
+        if (localCreditFn)
+            eq.scheduleL(_lane, 1, [this, vnet] { localCreditFn(vnet); });
     } else if (upstream[in].router) {
         Router *up = upstream[in].router;
         Port up_out = upstream[in].out;
@@ -132,6 +133,8 @@ Router::dropFront(Port in, unsigned vnet)
         dropUntilTail[in][vnet] = false;
     const bool poison = f.poison;
     inBuf[in][vnet].pop_front();
+    if (inBuf[in][vnet].empty())
+        occupied &= ~slotBit(in, vnet);
     // Poison tails were injected locally and never consumed an
     // upstream credit, so none is returned for them.
     if (!poison)
@@ -141,11 +144,11 @@ Router::dropFront(Port in, unsigned vnet)
 }
 
 bool
-Router::faultDrops(bool served_input[numPorts])
+Router::faultDrops(unsigned &served)
 {
     bool any = false;
     for (unsigned in = 0; in < numPorts; ++in) {
-        if (served_input[in])
+        if (served & (allVnets << in))
             continue;
         for (unsigned v = 0; v < numVnets; ++v) {
             auto &buf = inBuf[in][v];
@@ -175,7 +178,7 @@ Router::faultDrops(bool served_input[numPorts])
             }
             if (drop) {
                 dropFront(static_cast<Port>(in), v);
-                served_input[in] = true;
+                served |= allVnets << in;
                 any = true;
                 break;
             }
@@ -188,6 +191,7 @@ void
 Router::kill()
 {
     isDead = true;
+    occupied = 0;
     for (unsigned p = 0; p < numPorts; ++p) {
         for (unsigned v = 0; v < numVnets; ++v) {
             inBuf[p][v].clear();
@@ -239,6 +243,7 @@ Router::flushSeveredOwnership()
             poison.poison = true;
             poison.packetSeq = ownerSeq[out][v];
             buf.push_back(std::move(poison));
+            occupied |= slotBit(own, v);
             if (stats)
                 stats->counter("noc.poisonTails").inc();
             scheduleTick();
@@ -265,10 +270,10 @@ Router::tick()
     if (isDead)
         return;
     bool progress = false;
-    bool served_input[numPorts] = {};
+    unsigned served = 0; // request bits of inputs served this cycle
 
     if (faultsArmed)
-        progress |= faultDrops(served_input);
+        progress |= faultDrops(served);
 
     // Switch requests, one pass over the occupied inputs: bit
     // (vnet * numPorts + in) of req[out] is set when the front flit of
@@ -279,37 +284,27 @@ Router::tick()
     // carry no packet). Only a grant pops a buffer or changes an
     // output's ownership, and a grant serves its input and ends its
     // output's turn, so the masks stay exact for the outputs after it.
-    constexpr unsigned slots = numVnets * numPorts;
-    static_assert(slots < 32, "a request mask is one unsigned word");
     std::array<unsigned, numPorts> req{};
-    for (unsigned in = 0; in < numPorts; ++in) {
-        if (served_input[in])
-            continue;
-        for (unsigned vnet = 0; vnet < numVnets; ++vnet) {
-            const auto &buf = inBuf[in][vnet];
-            if (buf.empty())
-                continue;
-            const Flit &front = buf.front();
-            const unsigned bit = 1u << (vnet * numPorts + in);
-            if (front.head) {
-                const Port out =
-                    routeFor(static_cast<Port>(in), front.pkt->dst());
-                if (out < numPorts && outOwner[out][vnet] == -1)
+    for (unsigned todo = occupied & ~served; todo; todo &= todo - 1) {
+        const unsigned idx = static_cast<unsigned>(std::countr_zero(todo));
+        const unsigned vnet = idx / numPorts;
+        const unsigned in = idx % numPorts;
+        const Flit &front = inBuf[in][vnet].front();
+        const unsigned bit = 1u << idx;
+        if (front.head) {
+            const Port out =
+                routeFor(static_cast<Port>(in), front.pkt->dst());
+            if (out < numPorts && outOwner[out][vnet] == -1)
+                req[out] |= bit;
+        } else {
+            for (unsigned out = 0; out < numPorts; ++out)
+                if (outOwner[out][vnet] == static_cast<int>(in))
                     req[out] |= bit;
-            } else {
-                for (unsigned out = 0; out < numPorts; ++out)
-                    if (outOwner[out][vnet] == static_cast<int>(in))
-                        req[out] |= bit;
-            }
         }
     }
 
     // Each output grants the first eligible request at or after its
     // round-robin pointer; a granted input is served for this cycle.
-    static_assert(numVnets == 3, "all_vnets lists one bit per vnet");
-    constexpr unsigned all_vnets =
-        1u | (1u << numPorts) | (1u << (2 * numPorts));
-    unsigned served = 0; // request bits of inputs granted this cycle
     for (unsigned out = 0; out < numPorts; ++out) {
         const unsigned cand = req[out] & ~served;
         if (!cand)
@@ -345,7 +340,9 @@ Router::tick()
             // Grant: forward this flit.
             Flit flit = std::move(front);
             buf.pop_front();
-            served |= all_vnets << in;
+            if (buf.empty())
+                occupied &= ~slotBit(in, vnet);
+            served |= allVnets << in;
             progress = true;
             rrPtr[out] = (idx + 1) % slots;
 
@@ -404,7 +401,7 @@ Router::tick()
         }
     }
 
-    if (hasWork() && progress)
+    if (occupied && progress)
         scheduleTick();
 }
 

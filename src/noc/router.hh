@@ -54,16 +54,12 @@ class FlitRing
     const Flit &front() const { return slots[head]; }
 
     /** Random read access (0 = front); for reporting only. */
-    const Flit &
-    at(unsigned i) const
-    {
-        return slots[(head + i) % slots.size()];
-    }
+    const Flit &at(unsigned i) const { return slots[wrap(head + i)]; }
 
     void
     push_back(Flit f)
     {
-        slots[(head + count) % slots.size()] = std::move(f);
+        slots[wrap(head + count)] = std::move(f);
         ++count;
     }
 
@@ -71,7 +67,7 @@ class FlitRing
     pop_front()
     {
         slots[head] = Flit{}; // drop the packet reference, keep the slot
-        head = (head + 1) % slots.size();
+        head = wrap(head + 1);
         --count;
     }
 
@@ -83,6 +79,13 @@ class FlitRing
     }
 
   private:
+    /** Index @p i (< 2 * capacity) into the ring, without a divide. */
+    std::size_t
+    wrap(std::size_t i) const
+    {
+        return i < slots.size() ? i : i - slots.size();
+    }
+
     std::vector<Flit> slots;
     std::size_t head = 0;
     std::size_t count = 0;
@@ -236,9 +239,10 @@ class Router
      * Fault pre-pass: drop front flits that can never be forwarded
      * (dead output, unroutable destination, severed wormhole body).
      * Returns true when anything was dropped; dropped inputs count
-     * as served for this cycle.
+     * as served for this cycle (their bits are set in @p served, in
+     * the layout of #occupied).
      */
-    bool faultDrops(bool served_input[numPorts]);
+    bool faultDrops(unsigned &served);
 
     /** Drop the front flit of (in, vnet): credit bookkeeping as if
      *  forwarded, dropUntilTail tracking, flit-drop stat. */
@@ -260,8 +264,12 @@ class Router
     /** Schedule a tick next cycle unless one is already pending. */
     void scheduleTick();
 
-    /** True if any input buffer holds a flit. */
-    bool hasWork() const;
+    /** Bit of input buffer (in, vnet) in #occupied and request masks. */
+    static unsigned
+    slotBit(unsigned in, unsigned vnet)
+    {
+        return 1u << (vnet * numPorts + in);
+    }
 
     EventQueue &eq;
     const NocConfig &cfg;
@@ -271,6 +279,8 @@ class Router
 
     /** inBuf[port][vnet] */
     std::array<std::array<FlitRing, numVnets>, numPorts> inBuf;
+    /** slotBit(in, vnet) is set while inBuf[in][vnet] holds a flit. */
+    unsigned occupied = 0;
     /** Input (port) currently owning each (output, vnet); -1 = free. */
     std::array<std::array<int, numVnets>, numPorts> outOwner;
     /** Credits available towards downstream (output, vnet). */

@@ -64,6 +64,12 @@ ParallelEngine::shutdown()
         t.join();
     for (unsigned p = 0; p < numParts; ++p)
         parts[p]->setCrossHook(nullptr, nullptr, 0, 0);
+    // A run stopped at a tick limit leaves mail in flight. File it in
+    // its destination queue, as the next round would have, so that a
+    // later engine (the next runDetailed()) continues the trajectory.
+    // The global inbox is already empty: every step() drains it.
+    for (unsigned dst = 0; dst < numParts; ++dst)
+        deliverMail(dst, *parts[dst]);
 }
 
 void
@@ -115,7 +121,7 @@ ParallelEngine::minNextTick() const
 }
 
 void
-ParallelEngine::drainGlobalInbox()
+ParallelEngine::deliverMail(unsigned dst, EventQueue &q)
 {
     // Both generations are quiescent here (workers parked); drain in
     // (generation, source) order. Cross-generation items differ in
@@ -123,10 +129,10 @@ ParallelEngine::drainGlobalInbox()
     // key keeps the merge deterministic regardless.
     for (unsigned g = 0; g < 2; ++g)
         for (unsigned src = 0; src < numParts; ++src) {
-            auto &items = box(src, numParts).gen[g];
+            auto &items = box(src, dst).gen[g];
             for (MailItem &it : items)
-                global.insertForeign(it.dstLane, it.when, it.sendTick,
-                                     it.senderLane, std::move(it.fn));
+                q.insertForeign(it.dstLane, it.when, it.sendTick,
+                                it.senderLane, std::move(it.fn));
             items.clear();
         }
 }
@@ -182,7 +188,7 @@ ParallelEngine::round(Tick t)
 bool
 ParallelEngine::step(Tick until)
 {
-    drainGlobalInbox();
+    deliverMail(numParts, global); // the global inbox
     Tick gNext = global.nextEventTick();
     Tick pNext = maxTick;
     for (const EventQueue *q : parts)

@@ -118,7 +118,8 @@ class ParallelEngine
     /** Earliest pending tick anywhere, or maxTick. */
     Tick minNextTick() const;
 
-    /** Park and join the workers (idempotent; dtor calls it). */
+    /** Park and join the workers, then file undelivered mail in its
+     *  destination queue (idempotent; dtor calls it). */
     void shutdown();
 
     /** Rounds executed (one simulated tick each) — test visibility. */
@@ -180,8 +181,10 @@ class ParallelEngine
     /** Spawned-thread loop for partitions 1..P-1. */
     void workerLoop(unsigned p);
 
-    /** Deliver queued global-lane mail into the global queue. */
-    void drainGlobalInbox();
+    /** Deliver all mail queued for partition @p dst (numParts = the
+     *  global inbox) into its queue @p q. Workers must be parked. */
+    void deliverMail(unsigned dst, EventQueue &q);
+
 
     EventQueue &global;
     std::vector<EventQueue *> parts;

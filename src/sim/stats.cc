@@ -89,6 +89,20 @@ StatRegistry::mergeFrom(const StatRegistry &o)
         averages[name].merge(a);
 }
 
+template <>
+void
+BoundStat<StatCounter>::bind()
+{
+    bound = &reg->counter(*prefix + suffix);
+}
+
+template <>
+void
+BoundStat<StatAverage>::bind()
+{
+    bound = &reg->average(*prefix + suffix);
+}
+
 void
 StatRegistry::reset()
 {

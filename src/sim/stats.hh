@@ -4,6 +4,8 @@
  *
  * Components register named scalar counters and averages in a
  * StatRegistry; harnesses query and dump them after simulation.
+ * Per-event counters go through a StatHandle / AverageHandle, which
+ * looks its name up once and counts through a cached pointer after.
  */
 
 #ifndef MISAR_SIM_STATS_HH
@@ -95,8 +97,22 @@ class StatAverage
 class StatRegistry
 {
   public:
-    StatCounter &counter(const std::string &name) { return counters[name]; }
-    StatAverage &average(const std::string &name) { return averages[name]; }
+    StatCounter &
+    counter(const std::string &name)
+    {
+        ++_lookups;
+        return counters[name];
+    }
+
+    StatAverage &
+    average(const std::string &name)
+    {
+        ++_lookups;
+        return averages[name];
+    }
+
+    /** Calls of counter() and average() so far (a name search each). */
+    std::uint64_t lookups() const { return _lookups; }
 
     /** Value of counter @p name, or 0 if it was never touched. */
     std::uint64_t counterValue(const std::string &name) const;
@@ -133,11 +149,84 @@ class StatRegistry
      */
     void mergeFrom(const StatRegistry &o);
 
+    /**
+     * Zero every stat. Entries are kept (none is ever erased), so a
+     * bound handle keeps counting into the same entry afterwards.
+     */
     void reset();
 
   private:
     std::map<std::string, StatCounter> counters;
     std::map<std::string, StatAverage> averages;
+    std::uint64_t _lookups = 0;
+};
+
+/**
+ * A stat of a registry, named by a prefix string and a literal
+ * suffix, and looked up on its first use only.
+ *
+ * The prefix string, usually the owning component's statPrefix, is
+ * held by pointer: it must stay at its address until the first use.
+ * Construction reads neither name part and allocates nothing, and the
+ * registry entry is created exactly when the stat is first counted,
+ * as a counter(name) call at that point would create it, so dumps do
+ * not change. Map entries never move and are never erased, so the
+ * cached pointer stays valid for the registry's lifetime.
+ */
+template <typename Stat>
+class BoundStat
+{
+  public:
+    BoundStat(StatRegistry &reg, const std::string &prefix,
+              const char *suffix)
+        : reg(&reg), prefix(&prefix), suffix(suffix)
+    {}
+
+    /** Stat @p name (a string literal) of @p reg, without a prefix. */
+    BoundStat(StatRegistry &reg, const char *name)
+        : BoundStat(reg, noPrefix, name)
+    {}
+
+  protected:
+    Stat &
+    get()
+    {
+        if (!bound) [[unlikely]]
+            bind();
+        return *bound;
+    }
+
+  private:
+    /** Look the stat up (first use only). */
+    void bind();
+
+    static inline const std::string noPrefix;
+
+    StatRegistry *reg;
+    const std::string *prefix;
+    const char *suffix;
+    Stat *bound = nullptr;
+};
+
+template <>
+void BoundStat<StatCounter>::bind();
+template <>
+void BoundStat<StatAverage>::bind();
+
+/** A counter bound on its first inc(). */
+class StatHandle : public BoundStat<StatCounter>
+{
+  public:
+    using BoundStat::BoundStat;
+    void inc(std::uint64_t n = 1) { get().inc(n); }
+};
+
+/** An average bound on its first sample(). */
+class AverageHandle : public BoundStat<StatAverage>
+{
+  public:
+    using BoundStat::BoundStat;
+    void sample(double v) { get().sample(v); }
 };
 
 } // namespace misar

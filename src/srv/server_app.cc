@@ -29,11 +29,30 @@ constexpr Tick idleBackoff = 300;
 /** EWMA weight: new = old + (sample - old) / ewmaShift. */
 constexpr int ewmaShift = 3;
 
-std::string
-corePrefix(CoreId id)
+/** One core's core<id>.srv.* counters, bound on first count. */
+struct SrvCounters
 {
-    return "core" + std::to_string(id) + ".srv.";
-}
+    SrvCounters(StatRegistry &st, CoreId id)
+        : prefix("core" + std::to_string(id) + ".srv."),
+          generated(st, prefix, "generated"),
+          retries(st, prefix, "retries"),
+          retryDenied(st, prefix, "retryDenied"),
+          rejectedSlo(st, prefix, "rejectedSlo"),
+          rejected(st, prefix, "rejected"), steals(st, prefix, "steals"),
+          completed(st, prefix, "completed")
+    {}
+    SrvCounters(const SrvCounters &) = delete;
+    SrvCounters &operator=(const SrvCounters &) = delete;
+
+    std::string prefix;
+    StatHandle generated;
+    StatHandle retries;
+    StatHandle retryDenied;
+    StatHandle rejectedSlo;
+    StatHandle rejected;
+    StatHandle steals;
+    StatHandle completed;
+};
 
 /** Why a request was shed at admission this attempt. */
 enum class ShedCause
@@ -213,12 +232,13 @@ ServerHarness::claimRetryToken(ThreadApi t)
 
 /** Serve request @p id: burn its service cost, record its latency. */
 SubTask<>
-ServerHarness::execRequest(ThreadApi t, std::uint64_t id)
+ServerHarness::execRequest(ThreadApi t, std::uint64_t id,
+                           StatHandle &completed)
 {
     co_await t.compute(sched.service[id]);
     PerCore &pc = perCore[t.id()];
     pc.completed += 1;
-    t.stats().counter(corePrefix(t.id()) + "completed").inc();
+    completed.inc();
     if (spec_.mode == ArrivalMode::Closed)
         co_return;
     // Latency from the *scheduled* arrival tick: queueing delay a
@@ -271,8 +291,7 @@ ServerHarness::dispatcherThread(ThreadApi t, SyncLib *lib)
 {
     const CoreId d = t.id();
     PerCore &pc = perCore[d];
-    StatRegistry &st = t.stats();
-    const std::string prefix = corePrefix(d);
+    SrvCounters counts(t.stats(), d);
     const bool slo_on = spec_.sloTicks > 0;
     const bool tenants_on = spec_.tenantsEnabled();
 
@@ -314,12 +333,12 @@ ServerHarness::dispatcherThread(ThreadApi t, SyncLib *lib)
             // A request is generated exactly once, at its first
             // admission attempt; retries are tracked separately.
             pc.generated += 1;
-            st.counter(prefix + "generated").inc();
+            counts.generated.inc();
             if (tenants_on)
                 pc.tenant[ten].generated += 1;
         } else {
             pc.retries += 1;
-            st.counter(prefix + "retries").inc();
+            counts.retries.inc();
         }
 
         // Round-robin over the rings so each one sees every producer.
@@ -361,7 +380,7 @@ ServerHarness::dispatcherThread(ThreadApi t, SyncLib *lib)
             retry = co_await claimRetryToken(t);
             if (!retry) {
                 pc.retryDenied += 1;
-                st.counter(prefix + "retryDenied").inc();
+                counts.retryDenied.inc();
             }
         }
         if (retry) {
@@ -372,12 +391,12 @@ ServerHarness::dispatcherThread(ThreadApi t, SyncLib *lib)
         }
         if (cause == ShedCause::Slo) {
             pc.rejectedSlo += 1;
-            st.counter(prefix + "rejectedSlo").inc();
+            counts.rejectedSlo.inc();
             if (tenants_on)
                 pc.tenant[ten].rejectedSlo += 1;
         } else {
             pc.rejected += 1;
-            st.counter(prefix + "rejected").inc();
+            counts.rejected.inc();
             if (tenants_on)
                 pc.tenant[ten].rejected += 1;
         }
@@ -402,8 +421,7 @@ ServerHarness::workerThread(ThreadApi t, SyncLib *lib)
     const bool drainer = c < numDisp + queues.size();
     const LocalDeque own = deques[c];
     PerCore &pc = perCore[c];
-    StatRegistry &st = t.stats();
-    const std::string prefix = corePrefix(c);
+    SrvCounters counts(t.stats(), c);
     // Steal targets: only drainers ever hold queued work in open-loop
     // mode, so the sweep stays short and the drainer deques hot.
     const unsigned victims = queues.size();
@@ -416,7 +434,7 @@ ServerHarness::workerThread(ThreadApi t, SyncLib *lib)
             const std::uint64_t v = co_await own.popFront(t, lib);
             if (!v)
                 break;
-            co_await execRequest(t, v - 1);
+            co_await execRequest(t, v - 1, counts.completed);
         }
 
         // 2. Drainers refill from their dispatch ring (blocking while
@@ -429,7 +447,8 @@ ServerHarness::workerThread(ThreadApi t, SyncLib *lib)
                     const bool ok =
                         co_await own.pushBack(t, lib, batch[i]);
                     if (!ok)
-                        co_await execRequest(t, batch[i] - 1);
+                        co_await execRequest(t, batch[i] - 1,
+                                             counts.completed);
                 }
                 continue;
             }
@@ -447,8 +466,8 @@ ServerHarness::workerThread(ThreadApi t, SyncLib *lib)
                 co_await deques[victim].stealBack(t, lib);
             if (v) {
                 pc.steals += 1;
-                st.counter(prefix + "steals").inc();
-                co_await execRequest(t, v - 1);
+                counts.steals.inc();
+                co_await execRequest(t, v - 1, counts.completed);
                 got = true;
                 break;
             }
@@ -471,8 +490,7 @@ ServerHarness::closedWorkerThread(ThreadApi t, SyncLib *lib)
     const CoreId c = t.id();
     const LocalDeque own = deques[c];
     PerCore &pc = perCore[c];
-    StatRegistry &st = t.stats();
-    const std::string prefix = corePrefix(c);
+    SrvCounters counts(t.stats(), c);
     Rng rng(seed * 0x9e3779b97f4a7c15ULL + c * 0xc2b2ae35ULL + 17);
 
     // Task ids this worker is responsible for seeding.
@@ -485,7 +503,7 @@ ServerHarness::closedWorkerThread(ThreadApi t, SyncLib *lib)
             const std::uint64_t v = co_await own.popFront(t, lib);
             if (!v)
                 break;
-            co_await execRequest(t, v - 1);
+            co_await execRequest(t, v - 1, counts.completed);
         }
 
         // Seed the next wave of our own tasks (bounded by the deque).
@@ -497,7 +515,7 @@ ServerHarness::closedWorkerThread(ThreadApi t, SyncLib *lib)
                     break;
                 ++seeded;
                 pc.generated += 1;
-                st.counter(prefix + "generated").inc();
+                counts.generated.inc();
             }
             continue;
         }
@@ -513,8 +531,8 @@ ServerHarness::closedWorkerThread(ThreadApi t, SyncLib *lib)
                 co_await deques[victim].stealBack(t, lib);
             if (v) {
                 pc.steals += 1;
-                st.counter(prefix + "steals").inc();
-                co_await execRequest(t, v - 1);
+                counts.steals.inc();
+                co_await execRequest(t, v - 1, counts.completed);
                 got = true;
                 break;
             }

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "cpu/thread_api.hh"
+#include "sim/stats.hh"
 #include "srv/arrival.hh"
 #include "srv/server_stats.hh"
 #include "srv/task_queue.hh"
@@ -214,7 +215,9 @@ class ServerHarness
     /** Take a retry token; false when the budget is exhausted. */
     cpu::SubTask<bool> claimRetryToken(cpu::ThreadApi t);
 
-    cpu::SubTask<> execRequest(cpu::ThreadApi t, std::uint64_t id);
+    /** Serve request @p id, counting it in @p completed. */
+    cpu::SubTask<> execRequest(cpu::ThreadApi t, std::uint64_t id,
+                               StatHandle &completed);
     cpu::ThreadTask dispatcherThread(cpu::ThreadApi t,
                                      sync::SyncLib *lib);
     cpu::ThreadTask workerThread(cpu::ThreadApi t, sync::SyncLib *lib);

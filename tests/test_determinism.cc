@@ -42,12 +42,13 @@ struct RunSnapshot
  * @p threads is the simulation kernel's host thread count; @p profile
  * arms the sync profiler (serial-only — the threaded kernel rejects
  * it, and cross-thread-count comparisons must configure both sides
- * identically).
+ * identically). A non-zero @p split stops the run there first and
+ * then resumes it, so the stat shards are merged twice.
  */
 RunSnapshot
 runOnceSpec(sys::PaperConfig pc, unsigned cores,
             const workload::AppSpec &spec, std::uint64_t seed,
-            unsigned threads = 1, bool profile = true)
+            unsigned threads = 1, bool profile = true, Tick split = 0)
 {
     SystemConfig cfg = sys::configFor(pc, cores);
     cfg.seed = seed;
@@ -68,6 +69,8 @@ runOnceSpec(sys::PaperConfig pc, unsigned cores,
                        ? harness->thread(s.api(t), &lib)
                        : workload::appThread(s.api(t), spec, layout,
                                              &lib, cores, seed));
+    if (split)
+        EXPECT_EQ(s.runDetailed(split), sys::RunOutcome::LimitReached);
     EXPECT_EQ(s.runDetailed(2000000000ULL), sys::RunOutcome::Finished);
 
     RunSnapshot snap;
@@ -284,6 +287,22 @@ TEST(Determinism, ServerRetryStatsIdenticalAcrossThreadCounts)
                                  7, 2, false);
     EXPECT_EQ(t1.makespan, t2.makespan);
     EXPECT_EQ(t1.statsDump, t2.statsDump);
+}
+
+TEST(Determinism, SplitThreadedRunMatchesSerial)
+{
+    // A threaded run stopped at a tick limit and resumed must replay
+    // the serial run: the engine files its in-flight cross-partition
+    // mail into the queues when it shuts down, and stat handles keep
+    // their shard entries across the merge and reset that end each
+    // runDetailed().
+    const workload::AppSpec &spec = workload::appByName("radiosity");
+    RunSnapshot serial = runOnceSpec(sys::PaperConfig::MsaOmu2, 16, spec,
+                                     7, 1, /*profile=*/false);
+    RunSnapshot split = runOnceSpec(sys::PaperConfig::MsaOmu2, 16, spec,
+                                    7, 4, false, /*split=*/20000);
+    EXPECT_EQ(serial.makespan, split.makespan);
+    EXPECT_EQ(serial.statsDump, split.statsDump);
 }
 
 TEST(Determinism, ThreadedRunsAreRunToRunDeterministic)

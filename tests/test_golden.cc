@@ -18,6 +18,12 @@
  *    fft on msa-omu2-nocfaults, seed 1. The run drops flits,
  *    corrupts packets and reconfigures the routing tables, so it
  *    drives the router's discard and corrupted-worm paths.
+ *  - HotCounterRegistryDigests: the full registry dumps of two
+ *    fault-free 16-core runs, seed 1, which between them reach every
+ *    per-event counter family: server-poisson on msa-omu at 4
+ *    requests per kilotick (noc, core, L1, LLC, MSA slice,
+ *    sync.<INSTR>.hw|sw, srv.*), and raytrace on the pthread
+ *    baseline (atomics and crossed snoops, no MSA).
  */
 
 #include <gtest/gtest.h>
@@ -41,6 +47,8 @@ namespace {
 /** @name Recorded digests; re-record only with a stated reason. @{ */
 constexpr std::uint64_t nocTraceDigest = 0x0ab5cf903513d8bcULL;
 constexpr std::uint64_t faultedRegistryDigest = 0x66e7b55d6da2d48cULL;
+constexpr std::uint64_t serverRegistryDigest = 0xd7cfdc2adfe3fbf7ULL;
+constexpr std::uint64_t raytraceRegistryDigest = 0x9e04db7becef0edaULL;
 /** @} */
 
 constexpr std::uint64_t fnvBasis = 0xcbf29ce484222325ULL;
@@ -129,13 +137,17 @@ TEST(Golden, NocTraceDigest)
     EXPECT_EQ(h, nocTraceDigest) << std::hex << "digest 0x" << h;
 }
 
-TEST(Golden, FaultedRegistryDigest)
+/** Run 16-core @p app on @p config at seed 1 (and @p rate requests
+ *  per kilotick when non-zero); the finished System. */
+std::unique_ptr<sys::System>
+runJob(const char *config, const char *app, double rate = 0.0)
 {
     orch::JobSpec job;
-    job.preset.config = "msa-omu2-nocfaults";
-    job.app = "fft";
+    job.preset.config = config;
+    job.app = app;
     job.cores = 16;
     job.seed = 1;
+    job.arrivalRate = rate;
     const orch::JobRun run =
         orch::resolveJob(job, orch::CampaignSpec::ServerSweep{});
 
@@ -144,18 +156,55 @@ TEST(Golden, FaultedRegistryDigest)
     opts.system = &system;
     const workload::RunResult r = workload::runAppWithConfig(
         run.app, run.cfg, run.flavor, job.seed, job.preset.config, opts);
-    ASSERT_TRUE(r.finished);
+    EXPECT_TRUE(r.finished);
+    return system;
+}
 
+std::uint64_t
+registryDigest(const StatRegistry &stats)
+{
+    std::ostringstream os;
+    stats.dump(os);
+    return fnvString(os.str());
+}
+
+TEST(Golden, FaultedRegistryDigest)
+{
+    const auto system = runJob("msa-omu2-nocfaults", "fft");
     const StatRegistry &stats = system->stats();
     // The run must keep exercising the fault paths it pins.
     EXPECT_EQ(stats.counterValue("noc.flitsDropped"), 16u);
     EXPECT_EQ(stats.counterValue("noc.pktsCorrupted"), 3u);
     EXPECT_EQ(stats.counterValue("noc.reconfigs"), 1u);
 
-    std::ostringstream os;
-    stats.dump(os);
-    const std::uint64_t h = fnvString(os.str());
+    const std::uint64_t h = registryDigest(stats);
     EXPECT_EQ(h, faultedRegistryDigest) << std::hex << "digest 0x" << h;
+}
+
+TEST(Golden, HotCounterRegistryDigests)
+{
+    const auto server = runJob("msa-omu", "server-poisson", 4.0);
+    const StatRegistry &s = server->stats();
+    // The families this digest pins must stay reached.
+    EXPECT_GT(s.counterValue("noc.localLoopbacks"), 0u);
+    EXPECT_GT(s.sumCountersSuffix(".msa.evictions"), 0u);
+    EXPECT_GT(s.counterValue("sync.LOCK.hw"), 0u);
+    EXPECT_GT(s.counterValue("sync.COND_SIGNAL.sw"), 0u);
+    EXPECT_GT(s.counterValue("sync.silentLocks"), 0u);
+    EXPECT_GT(s.sumCountersSuffix(".srv.completed"), 0u);
+    EXPECT_GT(s.sumCountersSuffix(".srv.rejectedSlo") +
+                  s.sumCountersSuffix(".srv.rejected"),
+              0u);
+    const std::uint64_t hs = registryDigest(s);
+    EXPECT_EQ(hs, serverRegistryDigest) << std::hex << "digest 0x" << hs;
+
+    const auto raytrace = runJob("baseline", "raytrace");
+    const StatRegistry &r = raytrace->stats();
+    EXPECT_GT(r.sumCountersSuffix(".atomics"), 0u);
+    EXPECT_GT(r.sumCountersSuffix(".l1.crossedSnoops"), 0u);
+    EXPECT_EQ(r.sumCounters("sync.hwOps"), 0u);
+    const std::uint64_t hr = registryDigest(r);
+    EXPECT_EQ(hr, raytraceRegistryDigest) << std::hex << "digest 0x" << hr;
 }
 
 } // namespace

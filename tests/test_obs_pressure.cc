@@ -651,8 +651,9 @@ TEST(ObsCli, HeatmapOutWritesParseableDocument)
 TEST(ObsCli, StatsDumpListsTheReportsStats)
 {
     // Printing the run summary must read the registry, not register
-    // zero counters the report never saw.
-    for (const char *config : {"msa-omu", "msa-omu-faults"}) {
+    // zero counters the report never saw. A baseline run never uses
+    // the sync unit: its summary has no coverage figure.
+    for (const char *config : {"msa-omu", "msa-omu-faults", "baseline"}) {
         SCOPED_TRACE(config);
         const std::string path = "test_obs_pressure_stats_" +
                                  std::to_string(::getpid()) + ".json";
@@ -661,6 +662,14 @@ TEST(ObsCli, StatsDumpListsTheReportsStats)
                              config + " --stats --stats-json " + path,
                          out),
                   0)
+            << out;
+        const bool no_sync_unit = std::string(config) == "baseline";
+        EXPECT_EQ(out.find("0 hardware / 0 software (coverage n/a)") !=
+                      std::string::npos,
+                  no_sync_unit)
+            << out;
+        EXPECT_EQ(out.find("% coverage)") == std::string::npos,
+                  no_sync_unit)
             << out;
         const std::string marker = "--- full statistics ---\n";
         const std::size_t at = out.find(marker);

@@ -156,6 +156,57 @@ TEST(Stats, DumpContainsNames)
     EXPECT_NE(s.find("beta"), std::string::npos);
 }
 
+TEST(Stats, HandleCreatesNoEntryUntilFirstCount)
+{
+    StatRegistry r;
+    const std::string prefix = "tile0.l1.";
+    StatHandle hits(r, prefix, "hits");
+    AverageHandle lat(r, "noc.latency");
+    std::ostringstream os;
+    r.dump(os);
+    EXPECT_EQ(os.str(), "");
+    EXPECT_EQ(r.lookups(), 0u);
+
+    hits.inc(0); // creates the entry, like counter(name).inc(0)
+    lat.sample(4.0);
+    std::ostringstream os2;
+    r.dump(os2);
+    EXPECT_EQ(os2.str(), "tile0.l1.hits 0\n"
+                         "noc.latency mean=4.00 count=1 min=4.00 max=4.00\n");
+}
+
+TEST(Stats, HandleLooksUpOnceAndSurvivesReset)
+{
+    StatRegistry r;
+    const std::string prefix = "core3.";
+    StatHandle loads(r, prefix, "loads");
+    loads.inc();
+    loads.inc(2);
+    EXPECT_EQ(r.lookups(), 1u);
+    EXPECT_EQ(r.counterValue("core3.loads"), 3u);
+
+    r.reset();
+    EXPECT_EQ(r.counterValue("core3.loads"), 0u);
+    loads.inc(5);
+    EXPECT_EQ(r.counterValue("core3.loads"), 5u);
+    EXPECT_EQ(r.lookups(), 1u);
+}
+
+TEST(Stats, HandlesWithOneNameShareAnEntry)
+{
+    StatRegistry r;
+    const std::string a = "tile1.", b = "tile1.";
+    StatHandle x(r, a, "misses");
+    StatHandle y(r, b, "misses");
+    StatHandle z(r, "tile1.misses");
+    x.inc();
+    y.inc(2);
+    z.inc(4);
+    r.counter("tile1.misses").inc(8);
+    EXPECT_EQ(r.counterValue("tile1.misses"), 15u);
+    EXPECT_EQ(r.sumCounters("tile1."), 15u);
+}
+
 TEST(Rng, Deterministic)
 {
     Rng a(42), b(42);

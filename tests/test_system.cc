@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <sstream>
 
+#include "srv/server_app.hh"
 #include "sync/sync_lib.hh"
 #include "system/system.hh"
 #include "util/json.hh"
@@ -180,6 +182,56 @@ TEST(SystemMisc, SixtyFourCoreSmoke)
     RunResult r = runApp(spec, 64, PaperConfig::MsaOmu2);
     EXPECT_TRUE(r.finished);
     EXPECT_GT(r.hwCoverage, 0.5);
+}
+
+// Per-event stats count through bound handles, so once a run is warm
+// the registry's name lookups no longer grow with simulated work: what
+// is left are first counts of rare stats and once-per-thread ones.
+TEST(SystemMisc, StatLookupsDoNotScaleWithEvents)
+{
+    struct Case
+    {
+        PaperConfig pc;
+        const char *app;
+        unsigned iters; ///< 0 = the catalog's
+    };
+    // fft's catalog run (30 iterations) ends ~100k ticks in: too few
+    // events to amortise its first counts. Run it 20x longer.
+    for (const Case &c : {Case{PaperConfig::MsaOmu2, "fft", 600},
+                          Case{PaperConfig::Baseline, "raytrace", 0},
+                          Case{PaperConfig::MsaOmu2, "server-poisson", 0}}) {
+        SCOPED_TRACE(c.app);
+        constexpr unsigned cores = 16;
+        SystemConfig cfg = configFor(c.pc, cores);
+        cfg.seed = 1;
+        System s(cfg);
+        sync::SyncLib lib(flavorFor(c.pc), cores);
+        workload::AppSpec spec = appByName(c.app);
+        if (c.iters)
+            spec.iters = c.iters;
+        workload::AppLayout layout;
+        std::unique_ptr<srv::ServerHarness> harness;
+        if (spec.server.enabled)
+            harness = std::make_unique<srv::ServerHarness>(spec.server,
+                                                           cores, 1);
+        for (CoreId t = 0; t < cores; ++t)
+            s.start(t, harness ? harness->thread(s.api(t), &lib)
+                               : workload::appThread(s.api(t), spec,
+                                                     layout, &lib,
+                                                     cores, 1));
+
+        // Warm up, then count over the rest of the run.
+        ASSERT_EQ(s.runDetailed(100000), RunOutcome::LimitReached);
+        const std::uint64_t lookups0 = s.stats().lookups();
+        const std::uint64_t events0 = s.eventQueue().executedEvents();
+        ASSERT_EQ(s.runDetailed(2000000000ULL), RunOutcome::Finished);
+        const std::uint64_t lookups = s.stats().lookups() - lookups0;
+        const std::uint64_t events =
+            s.eventQueue().executedEvents() - events0;
+        EXPECT_GT(events, 100000u);
+        EXPECT_LT(lookups * 10000, events)
+            << lookups << " lookups in " << events << " events";
+    }
 }
 
 } // namespace
