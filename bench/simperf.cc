@@ -131,8 +131,8 @@ runPreset(const Preset &p, unsigned scale, unsigned reps)
             fatal("simperf: %s rep %u did not finish", p.name, r);
         res.wallSec += std::chrono::duration<double>(t1 - t0).count();
         res.ticks += s.eventQueue().now();
-        res.events += s.eventQueue().executedEvents();
-        res.pool = s.eventQueue().poolStats(); // last rep's counters
+        res.pool = s.eventStats(); // last rep's counters
+        res.events += res.pool.executed;
     }
     struct rusage ru;
     getrusage(RUSAGE_SELF, &ru);
@@ -206,7 +206,7 @@ runThreaded(const char *name, unsigned threads, unsigned scale,
         if (r == 0 || w < res.wallSec) {
             res.wallSec = w;
             res.ticks = s.eventQueue().now();
-            res.events = s.eventQueue().executedEvents();
+            res.events = s.eventStats().executed;
         }
     }
     return res;

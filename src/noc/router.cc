@@ -284,7 +284,9 @@ Router::tick()
     // carry no packet). Only a grant pops a buffer or changes an
     // output's ownership, and a grant serves its input and ends its
     // output's turn, so the masks stay exact for the outputs after it.
+    // Bit o of outs is set when req[o] is non-empty.
     std::array<unsigned, numPorts> req{};
+    unsigned outs = 0;
     for (unsigned todo = occupied & ~served; todo; todo &= todo - 1) {
         const unsigned idx = static_cast<unsigned>(std::countr_zero(todo));
         const unsigned vnet = idx / numPorts;
@@ -294,18 +296,25 @@ Router::tick()
         if (front.head) {
             const Port out =
                 routeFor(static_cast<Port>(in), front.pkt->dst());
-            if (out < numPorts && outOwner[out][vnet] == -1)
+            if (out < numPorts && outOwner[out][vnet] == -1) {
                 req[out] |= bit;
+                outs |= 1u << out;
+            }
         } else {
             for (unsigned out = 0; out < numPorts; ++out)
-                if (outOwner[out][vnet] == static_cast<int>(in))
+                if (outOwner[out][vnet] == static_cast<int>(in)) {
                     req[out] |= bit;
+                    outs |= 1u << out;
+                }
         }
     }
 
-    // Each output grants the first eligible request at or after its
-    // round-robin pointer; a granted input is served for this cycle.
-    for (unsigned out = 0; out < numPorts; ++out) {
+    // Each requested output, in ascending order, grants the first
+    // eligible request at or after its round-robin pointer; a granted
+    // input is served for this cycle. Outputs without a request have
+    // nothing to grant, so they are not visited.
+    for (; outs; outs &= outs - 1) {
+        const unsigned out = static_cast<unsigned>(std::countr_zero(outs));
         const unsigned cand = req[out] & ~served;
         if (!cand)
             continue;

@@ -107,7 +107,8 @@ void
 writeRunReport(std::ostream &os, const RunMeta &meta,
                const StatRegistry &stats, const SyncProfiler *prof,
                std::size_t top_n, const StatSampler *sampler,
-               const EventQueue *eq, const ResourceMonitor *monitor,
+               std::optional<EventQueue::PoolStats> events,
+               const ResourceMonitor *monitor,
                const srv::ServerStats *server)
 {
     util::JsonWriter w(os);
@@ -175,15 +176,14 @@ writeRunReport(std::ostream &os, const RunMeta &meta,
     }
 
     // -- event-kernel host-side counters ------------------------------
-    if (eq) {
-        const auto &ps = eq->poolStats();
+    if (events) {
         w.key("eventQueue").beginObject();
-        w.kv("executedEvents", eq->executedEvents());
-        w.kv("scheduledEvents", ps.scheduled);
-        w.kv("recordCapacity", ps.recordCapacity);
-        w.kv("chunkAllocs", ps.chunkAllocs);
-        w.kv("heapCallbacks", ps.heapCallbacks);
-        w.kv("maxPending", ps.maxPending);
+        w.kv("executedEvents", events->executed);
+        w.kv("scheduledEvents", events->scheduled);
+        w.kv("recordCapacity", events->recordCapacity);
+        w.kv("chunkAllocs", events->chunkAllocs);
+        w.kv("heapCallbacks", events->heapCallbacks);
+        w.kv("maxPending", events->maxPending);
         w.endObject();
     }
 
@@ -270,6 +270,20 @@ writeRunReport(std::ostream &os, const RunMeta &meta,
     os << "\n";
 }
 
+void
+writeRunReport(std::ostream &os, const RunMeta &meta,
+               const StatRegistry &stats, const SyncProfiler *prof,
+               std::size_t top_n, const StatSampler *sampler,
+               const EventQueue *eq, const ResourceMonitor *monitor,
+               const srv::ServerStats *server)
+{
+    std::optional<EventQueue::PoolStats> events;
+    if (eq)
+        events = eq->poolStats();
+    writeRunReport(os, meta, stats, prof, top_n, sampler, events, monitor,
+                   server);
+}
+
 bool
 writeFileDurable(const std::string &path, const std::string &body)
 {
@@ -312,7 +326,7 @@ CrashReportGuard::CrashReportGuard(std::string path, sys::System &system,
             system.monitor()->finalize(system.eventQueue().now());
         std::ostringstream os;
         writeRunReport(os, meta, system.stats(), system.syncProfiler(),
-                       top_n, system.sampler(), &system.eventQueue(),
+                       top_n, system.sampler(), system.eventStats(),
                        system.monitor());
         writeFileDurable(path, os.str());
     });

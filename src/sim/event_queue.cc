@@ -8,23 +8,20 @@ EventQueue::EventQueue() = default;
 
 EventQueue::~EventQueue()
 {
-    // Destroy (without running) every callable still pending — ring,
-    // lane chains, and overflow alike; the chunks vector frees the
+    // Destroy (without running) every callable still pending — lane
+    // chains, ring, and overflow alike; the chunks vector frees the
     // records.
-    for (Bucket &b : buckets) {
-        for (EventRecord *r = b.head; r;) {
+    auto destroyChain = [](EventRecord *r) {
+        while (r) {
             EventRecord *next = r->next;
             r->op(r, false);
             r = next;
         }
-    }
-    for (Lane &l : lanes) {
-        for (EventRecord *r = l.head; r;) {
-            EventRecord *next = r->next;
-            r->op(r, false);
-            r = next;
-        }
-    }
+    };
+    for (Lane &l : nearLanes)
+        destroyChain(l.head);
+    for (Bucket &b : buckets)
+        destroyChain(b.head);
     for (EventRecord *r : overflow)
         r->op(r, false);
 }
@@ -35,18 +32,10 @@ EventQueue::setNumLanes(LaneId n)
     if (n <= numLanes)
         return;
     numLanes = n;
-    lanes.resize(n);
-    laneOcc.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
-}
-
-EventQueue::EventRecord *
-EventQueue::allocRecord()
-{
-    if (!freeHead)
-        growPool();
-    EventRecord *r = freeHead;
-    freeHead = r->next;
-    return r;
+    // Lane-major storage: the new lanes append, existing chains and
+    // occupancy words keep their index.
+    nearLanes.resize(static_cast<std::size_t>(n) << nearBits);
+    nearOcc.resize(((static_cast<std::size_t>(n) + 63) / 64) << nearBits, 0);
 }
 
 void
@@ -80,45 +69,10 @@ EventQueue::appendBucket(EventRecord *r)
 }
 
 void
-EventQueue::appendLane(EventRecord *r)
+EventQueue::pushOverflow(EventRecord *r)
 {
-    // Same-tick insert while this tick drains. The executing lane can
-    // feed itself (FIFO append, picked up by the drain loop) or any
-    // later lane; a lane that already ran is gone for this tick.
-    if (r->lane < curLane)
-        panic("same-tick event into lane %u from lane %u (already ran)",
-              r->lane, curLane);
-    Lane &l = lanes[r->lane];
-    r->next = nullptr;
-    if (l.tail) {
-        // Appends mid-drain carry key (now, curLane), which is >= the
-        // chain tail's key by construction; keep the check anyway so
-        // a contract violation surfaces as a sort, not misordering.
-        if (senderBefore(r, l.tail))
-            l.dirty = true;
-        l.tail->next = r;
-    } else {
-        l.head = r;
-        laneOcc[r->lane >> 6] |= std::uint64_t{1} << (r->lane & 63);
-    }
-    l.tail = r;
-}
-
-void
-EventQueue::insert(EventRecord *r)
-{
-    if (draining && r->when == _now) {
-        appendLane(r);
-    } else if (r->when - _now < window) {
-        appendBucket(r);
-    } else {
-        overflow.push_back(r);
-        std::push_heap(overflow.begin(), overflow.end(), later);
-    }
-    ++numPending;
-    ++pstats.scheduled;
-    if (numPending > pstats.maxPending)
-        pstats.maxPending = numPending;
+    overflow.push_back(r);
+    std::push_heap(overflow.begin(), overflow.end(), later);
 }
 
 void
@@ -149,8 +103,8 @@ EventQueue::insertForeign(LaneId lane, Tick when, Tick sendTick,
 void
 EventQueue::promote()
 {
-    // maxTick-adjacent clocks cannot overflow the boundary in any
-    // real run, but saturate anyway so the comparison stays sound.
+    // maxTick-adjacent clocks cannot overflow the boundaries in any
+    // real run, but saturate anyway so the comparisons stay sound.
     const Tick boundary = (_now > maxTick - window) ? maxTick
                                                     : _now + window;
     while (!overflow.empty() && overflow.front()->when < boundary) {
@@ -160,9 +114,33 @@ EventQueue::promote()
         // Heap pops ascend in (when, seq); per-sender FIFO holds
         // because one sender's records carry ascending seqs. Any
         // cross-sender misordering against records already in the
-        // bucket is repaired by the scatter-time sort check.
+        // bucket is repaired by the lane chains' sort check.
         appendBucket(r);
     }
+
+    // Ticks in [max(nearEnd, now), now + nearTicks) enter the near
+    // window now. Their ring buckets move into the lane chains before
+    // anything can append there directly: every direct append is
+    // sent later (within nearTicks of its tick), so FIFO order stays
+    // sender-key order. Skipped ticks below now hold no events (the
+    // clock only jumps to the next pending tick).
+    const Tick end = (_now > maxTick - nearTicks) ? maxTick
+                                                  : _now + nearTicks;
+    for (Tick t = std::max(nearEnd, _now); t < end && ringCount; ++t) {
+        const std::size_t idx = static_cast<std::size_t>(t) & bucketMask;
+        Bucket &b = buckets[idx];
+        if (!b.head)
+            continue;
+        for (EventRecord *r = b.head; r;) {
+            EventRecord *next = r->next;
+            appendNear(r);
+            --ringCount;
+            r = next;
+        }
+        b.head = b.tail = nullptr;
+        occ[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+    }
+    nearEnd = end;
 }
 
 Tick
@@ -196,9 +174,8 @@ EventQueue::nextRingTick() const
 }
 
 void
-EventQueue::sortLane(LaneId l)
+EventQueue::sortLane(Lane &lane)
 {
-    Lane &lane = lanes[l];
     sortScratch.clear();
     for (EventRecord *r = lane.head; r; r = r->next)
         sortScratch.push_back(r);
@@ -225,55 +202,31 @@ EventQueue::runTick(Tick t)
         panic("runTick(%llu) but now is %llu",
               static_cast<unsigned long long>(t),
               static_cast<unsigned long long>(_now));
-    const std::size_t idx = static_cast<std::size_t>(t) & bucketMask;
-    Bucket &b = buckets[idx];
-
-    // Scatter the tick's FIFO bucket into per-lane chains, watching
-    // for out-of-key-order appends (only cross-partition mailbox
-    // deliveries can produce them; serial runs scatter pre-sorted).
-    for (EventRecord *r = b.head; r;) {
-        EventRecord *next = r->next;
-        Lane &l = lanes[r->lane];
-        r->next = nullptr;
-        if (l.tail) {
-            if (senderBefore(r, l.tail))
-                l.dirty = true;
-            l.tail->next = r;
-        } else {
-            l.head = r;
-            laneOcc[r->lane >> 6] |= std::uint64_t{1} << (r->lane & 63);
-        }
-        l.tail = r;
-        --ringCount;
-        r = next;
-    }
-    if (b.head) {
-        b.head = b.tail = nullptr;
-        occ[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-    }
-
-    // Execute lanes in ascending order. Callbacks may append
-    // same-tick events to the current or any later lane; the
-    // occupancy rescan picks up lanes that only just became occupied.
-    draining = true;
-    for (LaneId l = nextOccupiedLane(0); l < numLanes;
-         l = nextOccupiedLane(l)) {
-        Lane &lane = lanes[l];
+    // Execute the tick's lane chains in ascending lane order. Each
+    // chain is already in sender-key order unless an append flagged
+    // it dirty. Callbacks may append same-tick events to the current
+    // or any later lane; the occupancy rescan picks up lanes that
+    // only just became occupied.
+    const unsigned slot = static_cast<unsigned>(t) & nearMask;
+    for (LaneId l = nextOccupiedLane(slot, 0); l < numLanes;
+         l = nextOccupiedLane(slot, l)) {
+        Lane &lane = nearLane(l, t);
         if (lane.dirty)
-            sortLane(l);
+            sortLane(lane);
         curLane = l;
         while (EventRecord *r = lane.head) {
             lane.head = r->next;
             if (!lane.head)
                 lane.tail = nullptr;
             --numPending;
-            ++executed;
+            ++pstats.executed;
             r->op(r, true);
             freeRecord(r);
         }
-        laneOcc[l >> 6] &= ~(std::uint64_t{1} << (l & 63));
+        nearOcc[nearOccIndex(l >> 6, slot)] &=
+            ~(std::uint64_t{1} << (l & 63));
     }
-    draining = false;
+    nearSlots &= ~(1u << slot);
     curLane = 0;
 }
 
@@ -282,7 +235,7 @@ EventQueue::drain(Tick limit)
 {
     const Tick deadline = (limit == maxTick) ? maxTick : _now + limit;
     while (numPending) {
-        const Tick t = ringCount ? nextRingTick() : overflow.front()->when;
+        const Tick t = nextEventTick();
         if (t > deadline)
             return DrainResult::LimitHit;
         _now = t;
@@ -296,7 +249,7 @@ void
 EventQueue::runUntil(Tick until)
 {
     while (numPending) {
-        const Tick t = ringCount ? nextRingTick() : overflow.front()->when;
+        const Tick t = nextEventTick();
         if (t > until)
             break;
         _now = t;

@@ -14,16 +14,21 @@
  * order, so it is invariant under any partitioning of lanes onto
  * threads.
  *
- * Implementation: a two-level calendar queue tuned for the host-side
- * hot path. Near-future events (within `window` ticks of now) live in
- * a ring of per-tick FIFO buckets indexed by tick modulo the window;
- * an occupancy bitmap makes "next non-empty bucket" a few word scans.
- * Far-future events (watchdog sweeps, invariant checks, samplers)
- * wait in a min-heap and are promoted into the ring as the clock
- * advances. At each occupied tick the bucket is scattered into
- * per-lane chains (lane occupancy is itself a bitmap); a chain is
- * stable-sorted by (sendTick, senderLane) only when the scatter finds
- * it out of order, which never happens in serial runs — serial
+ * Implementation: a three-level calendar queue tuned for the
+ * host-side hot path. Events due within `nearTicks` (8) ticks of now
+ * go straight into per-(tick, lane) FIFO chains: slot tick % 8 of
+ * their lane, with a lane-occupancy bitmap per slot and an 8-bit mask
+ * of occupied slots, so executing a tick walks its occupied lanes in
+ * order and nothing is re-filed on the way. 96-99% of all events are
+ * due 0-3 ticks ahead. Events due later, up to `window` (4096) ticks,
+ * wait in a ring of per-tick FIFO buckets with an occupancy bitmap;
+ * far-future events (watchdog sweeps, invariant checks, samplers) wait
+ * in a min-heap. As the clock advances, promote() moves heap events
+ * into the ring, then each ring bucket whose tick enters the near
+ * window into its lane chains — before anything can append there, so
+ * an earlier-sent event always lands ahead of a later-sent one. A
+ * chain is stable-sorted by (sendTick, senderLane) only when an append
+ * finds it out of order, which never happens in serial runs — serial
  * execution appends in exactly that order — and only happens in
  * threaded runs for cells that received cross-partition mailbox
  * deliveries. Event records come from a free-list pool and store
@@ -75,9 +80,11 @@ class EventQueue
         LimitHit, ///< tick limit reached with events still pending
     };
 
-    /** Allocation counters of the event machinery (run reports). */
+    /** Host-side counters of the event machinery (run reports). */
     struct PoolStats
     {
+        /** Total events ever executed. */
+        std::uint64_t executed = 0;
         /** Event records carved out of pool chunks so far. */
         std::uint64_t recordCapacity = 0;
         /** Pool chunk heap allocations (stable once warmed up). */
@@ -112,8 +119,8 @@ class EventQueue
     Tick now() const { return _now; }
 
     /**
-     * Declare the lane id space [0, n). Grows only; lane arrays are
-     * reused across ticks. Single-lane queues (never calling this)
+     * Declare the lane id space [0, n). Grows only; pending events
+     * keep their place. Single-lane queues (never calling this)
      * behave exactly like the pre-lane kernel.
      */
     void setNumLanes(LaneId n);
@@ -236,6 +243,15 @@ class EventQueue
     {
         if (!numPending)
             return maxTick;
+        if (nearSlots) {
+            // Rotate slot (now % nearTicks) to bit 0: the lowest set
+            // bit is then the earliest occupied near tick.
+            const unsigned s = static_cast<unsigned>(_now) & nearMask;
+            const unsigned rot =
+                ((nearSlots >> s) | (nearSlots << (nearTicks - s))) &
+                allNearSlots;
+            return _now + static_cast<Tick>(std::countr_zero(rot));
+        }
         return ringCount ? nextRingTick() : overflow.front()->when;
     }
 
@@ -261,15 +277,25 @@ class EventQueue
     void runTick(Tick t);
 
     /** Total number of events executed so far. */
-    std::uint64_t executedEvents() const { return executed; }
+    std::uint64_t executedEvents() const { return pstats.executed; }
 
-    /** Allocation counters (zero steady-state allocation evidence). */
+    /** Kernel counters (zero steady-state allocation evidence). */
     const PoolStats &poolStats() const { return pstats; }
 
   private:
-    /** log2 of the near-future window (ring size in ticks). */
+    /** log2 of the near window (ticks filed straight into lanes). */
+    static constexpr unsigned nearBits = 3;
+    /** Near window: one lane-chain slot per tick in [now, now+8).
+     *  Scheduling delays of 0-3 ticks cover 96-99% of all events and
+     *  4-7 almost none, so a wider window would only add empty slots. */
+    static constexpr unsigned nearTicks = 1u << nearBits;
+    static constexpr unsigned nearMask = nearTicks - 1;
+    static constexpr unsigned allNearSlots = (1u << nearTicks) - 1;
+    static_assert(nearTicks < 32, "nearSlots is one unsigned word");
+    /** log2 of the ring size in ticks. */
     static constexpr unsigned bucketBits = 12;
-    /** Near-future window: one bucket per tick in [now, now+window). */
+    /** Ring horizon: one bucket per tick in [now+nearTicks,
+     *  now+window); later events wait in the overflow heap. */
     static constexpr Tick window = Tick{1} << bucketBits;
     static constexpr std::size_t numBuckets = std::size_t{1} << bucketBits;
     static constexpr std::size_t bucketMask = numBuckets - 1;
@@ -300,12 +326,12 @@ class EventQueue
         EventRecord *tail = nullptr;
     };
 
-    /** Per-lane FIFO chain, rebuilt from the tick bucket each drain. */
+    /** FIFO chain of one (near tick, lane) cell. */
     struct Lane
     {
         EventRecord *head = nullptr;
         EventRecord *tail = nullptr;
-        /** Scatter saw an out-of-key-order append (needs a sort). */
+        /** An append landed out of sender-key order (needs a sort). */
         bool dirty = false;
     };
 
@@ -386,7 +412,16 @@ class EventQueue
         }
     }
 
-    EventRecord *allocRecord();
+    EventRecord *
+    allocRecord()
+    {
+        if (!freeHead)
+            growPool();
+        EventRecord *r = freeHead;
+        freeHead = r->next;
+        return r;
+    }
+
     void growPool();
 
     void
@@ -396,33 +431,97 @@ class EventQueue
         freeHead = r;
     }
 
-    /** File @p r into its ring bucket, lane chain, or overflow heap. */
-    void insert(EventRecord *r);
+    /** File @p r into its lane chain, ring bucket, or overflow heap. */
+    void
+    insert(EventRecord *r)
+    {
+        const Tick ahead = r->when - _now;
+        if (ahead < nearTicks) {
+            // A same-tick event may feed the executing lane (FIFO
+            // append, picked up by the drain loop) or any later lane;
+            // a lane that already ran is gone for this tick. Outside
+            // a drain curLane is 0, so any lane is fine.
+            if (ahead == 0 && r->lane < curLane)
+                panic("same-tick event into lane %u from lane %u "
+                      "(already ran)", r->lane, curLane);
+            appendNear(r);
+        } else if (ahead < window) {
+            appendBucket(r);
+        } else {
+            pushOverflow(r);
+        }
+        ++numPending;
+        ++pstats.scheduled;
+        if (numPending > pstats.maxPending)
+            pstats.maxPending = numPending;
+    }
 
-    /** Append to the FIFO bucket for r->when (must be in-window). */
+    /** Chain of lane @p lane for near tick @p when. */
+    Lane &
+    nearLane(LaneId lane, Tick when)
+    {
+        return nearLanes[(static_cast<std::size_t>(lane) << nearBits) |
+                         (static_cast<std::size_t>(when) & nearMask)];
+    }
+
+    /** Index in nearOcc of near slot @p slot's occupancy word for
+     *  lanes [64w, 64w+64). */
+    static std::size_t
+    nearOccIndex(std::size_t w, unsigned slot)
+    {
+        return (w << nearBits) | slot;
+    }
+
+    /** Append @p r to its (tick, lane) chain; r->when must be in
+     *  [now, now+nearTicks). Flags the chain for a sort when @p r
+     *  sorts before its tail (a cross-partition delivery). */
+    void
+    appendNear(EventRecord *r)
+    {
+        Lane &l = nearLane(r->lane, r->when);
+        r->next = nullptr;
+        if (l.tail) {
+            if (senderBefore(r, l.tail))
+                l.dirty = true;
+            l.tail->next = r;
+        } else {
+            l.head = r;
+            const unsigned slot = static_cast<unsigned>(r->when) & nearMask;
+            nearOcc[nearOccIndex(r->lane >> 6, slot)] |=
+                std::uint64_t{1} << (r->lane & 63);
+            nearSlots |= 1u << slot;
+        }
+        l.tail = r;
+    }
+
+    /** Append to the FIFO bucket for r->when (must be in the ring). */
     void appendBucket(EventRecord *r);
 
-    /** Append @p r to its lane chain (same-tick insert mid-drain). */
-    void appendLane(EventRecord *r);
+    /** Push @p r onto the far-future overflow heap. */
+    void pushOverflow(EventRecord *r);
 
-    /** Stable-sort lane @p l by sender key (cross-partition merge). */
-    void sortLane(LaneId l);
+    /** Stable-sort chain @p lane by sender key (cross-partition merge). */
+    void sortLane(Lane &lane);
 
-    /** Promote far-future events now inside [now, now+window). */
+    /** Move overflow events now inside the ring horizon into the
+     *  ring, then ring buckets of ticks now inside the near window
+     *  into their lane chains. Called whenever the clock advances. */
     void promote();
 
     /** Earliest ring tick; ring must be non-empty. */
     Tick nextRingTick() const;
 
-    /** Lowest occupied lane >= @p from, or numLanes when none. */
+    /** Lowest occupied lane >= @p from in near slot @p slot, or
+     *  numLanes when none. */
     LaneId
-    nextOccupiedLane(LaneId from) const
+    nextOccupiedLane(unsigned slot, LaneId from) const
     {
         std::size_t w = from >> 6;
-        const std::size_t words = laneOcc.size();
+        const std::size_t words = nearOcc.size() >> nearBits;
         if (w >= words)
             return numLanes;
-        std::uint64_t word = laneOcc[w] & (~std::uint64_t{0} << (from & 63));
+        std::uint64_t word = nearOcc[nearOccIndex(w, slot)] &
+                             (~std::uint64_t{0} << (from & 63));
         while (true) {
             if (word)
                 return static_cast<LaneId>(
@@ -430,9 +529,22 @@ class EventQueue
                                    std::countr_zero(word)));
             if (++w >= words)
                 return numLanes;
-            word = laneOcc[w];
+            word = nearOcc[nearOccIndex(w, slot)];
         }
     }
+
+    /** Near-window chains, lane-major (see nearLane()), so growing
+     *  the lane count keeps every pending chain in place. */
+    LaneId numLanes = 1;
+    std::vector<Lane> nearLanes = std::vector<Lane>(nearTicks);
+    /** Lane occupancy per near slot (see nearOccIndex()). */
+    std::vector<std::uint64_t> nearOcc =
+        std::vector<std::uint64_t>(nearTicks, 0);
+    /** One bit per near slot holding any event. */
+    unsigned nearSlots = 0;
+    /** First tick whose ring bucket is not yet promoted into the near
+     *  window (now + nearTicks after each promote()). */
+    Tick nearEnd = nearTicks;
 
     std::vector<Bucket> buckets{numBuckets};
     /** One occupancy bit per bucket. */
@@ -442,15 +554,8 @@ class EventQueue
     std::size_t ringCount = 0;
     std::size_t numPending = 0;
 
-    /** Per-lane drain chains + occupancy bitmap (reused each tick). */
-    LaneId numLanes = 1;
-    std::vector<Lane> lanes = std::vector<Lane>(1);
-    std::vector<std::uint64_t> laneOcc = std::vector<std::uint64_t>(1, 0);
     /** Scratch buffer for sortLane. */
     std::vector<EventRecord *> sortScratch;
-
-    /** True while runTick executes (same-tick inserts go to chains). */
-    bool draining = false;
 
     /** Cross-partition routing (null in serial runs). */
     void *crossCtx = nullptr;
@@ -465,7 +570,6 @@ class EventQueue
 
     Tick _now = 0;
     std::uint64_t nextSeq = 0;
-    std::uint64_t executed = 0;
     LaneId curLane = 0;
 };
 

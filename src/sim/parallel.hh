@@ -34,9 +34,10 @@
  * Determinism: every event executes at the same (tick, lane,
  * sendTick, senderLane, per-sender FIFO) position regardless of N,
  * because the receiving queue files mailbox deliveries under the
- * sender's key (EventQueue::insertForeign) and the per-tick scatter
- * re-sorts any cell that received one. `--threads 1` does not
- * instantiate this engine at all.
+ * sender's key (EventQueue::insertForeign), and a (tick, lane) chain
+ * that a delivery joined out of sender-key order is stable-sorted
+ * before it runs. `--threads 1` does not instantiate this engine at
+ * all.
  */
 
 #ifndef MISAR_SIM_PARALLEL_HH

@@ -479,6 +479,23 @@ System::makespan() const
     return m;
 }
 
+EventQueue::PoolStats
+System::eventStats() const
+{
+    EventQueue::PoolStats sum = eq.poolStats();
+    for (const auto &q : partQueues) {
+        const EventQueue::PoolStats &p = q->poolStats();
+        sum.executed += p.executed;
+        sum.scheduled += p.scheduled;
+        sum.recordCapacity += p.recordCapacity;
+        sum.chunkAllocs += p.chunkAllocs;
+        sum.heapCallbacks += p.heapCallbacks;
+        sum.maxPending += p.maxPending;
+        sum.laneSorts += p.laneSorts;
+    }
+    return sum;
+}
+
 void
 System::writeTrace(std::ostream &os) const
 {

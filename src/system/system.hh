@@ -97,6 +97,20 @@ class System
     msa::MsaSlice &msaSlice(CoreId t) { return *slices[t]; }
     mem::MemSystem &mem() { return *ms; }
     EventQueue &eventQueue() { return eq; }
+
+    /**
+     * Event-kernel counters of the whole run: the global queue's
+     * plus, under `--threads N`, every partition queue's, summed
+     * field by field (the global queue alone holds no tile events
+     * then). Each event is scheduled and executed on exactly one
+     * queue, so `executed` and `scheduled` equal the serial run's.
+     * `maxPending` becomes the sum of each queue's own high-water
+     * mark: an upper bound on the events queued at once, since the
+     * queues peak at different ticks. Mail in flight between
+     * partitions sits in no queue and is not counted.
+     */
+    EventQueue::PoolStats eventStats() const;
+
     StatRegistry &stats() { return _stats; }
     const SystemConfig &config() const { return cfg; }
     unsigned numCores() const { return cfg.numCores; }

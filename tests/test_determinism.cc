@@ -34,7 +34,8 @@ struct RunSnapshot
     std::string statsDump; ///< full StatRegistry text dump
     std::string profJson;  ///< sync-profiler top-N JSON
     Tick makespan = 0;
-    std::uint64_t executed = 0;
+    std::uint64_t executed = 0;  ///< summed over every queue
+    std::uint64_t laneSorts = 0; ///< lane chains re-sorted by sender key
 };
 
 /**
@@ -43,17 +44,21 @@ struct RunSnapshot
  * arms the sync profiler (serial-only — the threaded kernel rejects
  * it, and cross-thread-count comparisons must configure both sides
  * identically). A non-zero @p split stops the run there first and
- * then resumes it, so the stat shards are merged twice.
+ * then resumes it, so the stat shards are merged twice. A non-zero
+ * @p sampleInterval arms the stat sampler. Every serial run also
+ * checks that no lane chain was re-sorted.
  */
 RunSnapshot
 runOnceSpec(sys::PaperConfig pc, unsigned cores,
             const workload::AppSpec &spec, std::uint64_t seed,
-            unsigned threads = 1, bool profile = true, Tick split = 0)
+            unsigned threads = 1, bool profile = true, Tick split = 0,
+            Tick sampleInterval = 0)
 {
     SystemConfig cfg = sys::configFor(pc, cores);
     cfg.seed = seed;
     cfg.simThreads = threads;
     cfg.obs.profileSync = profile;
+    cfg.obs.sampleInterval = sampleInterval;
     sys::System s(cfg);
     sync::SyncLib lib(sys::flavorFor(pc), cores);
     if (cfg.resil.coreFaultsEnabled())
@@ -83,7 +88,15 @@ runOnceSpec(sys::PaperConfig pc, unsigned cores,
         snap.profJson = prof_os.str();
     }
     snap.makespan = s.eventQueue().now();
-    snap.executed = s.eventQueue().executedEvents();
+    const EventQueue::PoolStats events = s.eventStats();
+    snap.executed = events.executed;
+    snap.laneSorts = events.laneSorts;
+    // A serial run appends every event in sender-key order, so no
+    // lane chain ever needs a sort; only cross-partition mail can
+    // arrive out of order.
+    if (threads <= 1) {
+        EXPECT_EQ(snap.laneSorts, 0u) << "serial run re-sorted a lane";
+    }
     return snap;
 }
 
@@ -210,6 +223,7 @@ expectStatsIdenticalAcrossThreads(sys::PaperConfig pc, unsigned cores,
     for (unsigned n : {2u, 4u}) {
         RunSnapshot tn = runOnce(pc, cores, app, 7, n, false);
         EXPECT_EQ(t1.makespan, tn.makespan) << "threads=" << n;
+        EXPECT_EQ(t1.executed, tn.executed) << "threads=" << n;
         EXPECT_EQ(t1.statsDump, tn.statsDump) << "threads=" << n;
     }
 }
@@ -316,6 +330,22 @@ TEST(Determinism, ThreadedRunsAreRunToRunDeterministic)
     EXPECT_EQ(a.makespan, b.makespan);
     EXPECT_EQ(a.statsDump, b.statsDump);
     EXPECT_FALSE(a.statsDump.empty());
+}
+
+TEST(Determinism, SerialRunsNeverResortALane)
+{
+    // runOnceSpec checks laneSorts == 0 on every serial run above;
+    // these add a global-lane timer on top of the tile traffic (the
+    // stat sampler) and the pure-software path (pthread baseline:
+    // atomics and spinning loads, no MSA).
+    const workload::AppSpec &radiosity = workload::appByName("radiosity");
+    EXPECT_GT(runOnceSpec(sys::PaperConfig::MsaOmu2, 16, radiosity, 7, 1,
+                          false, 0, /*sampleInterval=*/1000)
+                  .executed,
+              0u);
+    EXPECT_GT(runOnce(sys::PaperConfig::Baseline, 16, "raytrace", 7)
+                  .executed,
+              0u);
 }
 
 TEST(Determinism, DifferentSeedsActuallyDiffer)

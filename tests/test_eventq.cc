@@ -5,17 +5,21 @@
  *
  * test_sim.cc covers the EventQueue's externally visible ordering
  * contract; the cases here aim at the calendar-queue internals
- * (4096-tick bucket ring, far-future overflow heap, event-record
- * pool) by crossing their boundaries on purpose.
+ * (8-tick near window of lane chains, 4096-tick bucket ring,
+ * far-future overflow heap, event-record pool) by crossing their
+ * boundaries on purpose.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -26,6 +30,8 @@ namespace {
 
 /** The kernel's near-future ring covers this many ticks. */
 constexpr Tick ringWindow = 4096;
+/** Events due fewer than this many ticks ahead skip the ring. */
+constexpr Tick nearWindow = 8;
 
 TEST(EventQueueCalendar, BucketWrapAround)
 {
@@ -235,6 +241,152 @@ TEST(EventQueueCalendar, MaxPendingHighWaterMark)
     EXPECT_EQ(eq.poolStats().maxPending, 100u);
     eq.run();
     EXPECT_EQ(eq.poolStats().maxPending, 100u);
+}
+
+/**
+ * A seeded random multi-lane schedule checked against a reference
+ * model: the kernel must execute exactly in ascending (tick, lane,
+ * sendTick, senderLane, issue order), whichever level each event
+ * waited in. Callbacks schedule follow-ups across every boundary of
+ * the near window, the ring and the overflow heap; waves are
+ * separated by idle gaps longer than the ring; the loop stops the
+ * drain with runUntil() and drain limits, and jumps the clock with
+ * advanceTo() before filing events due that very tick. With
+ * @p foreign, some events arrive through insertForeign() with an
+ * earlier sendTick, as cross-partition mail does; without, no lane
+ * chain may ever need a sort.
+ */
+void
+expectReferenceOrder(std::uint64_t seed, bool foreign)
+{
+    constexpr LaneId numLanes = 5;
+    EventQueue eq;
+    eq.setNumLanes(numLanes);
+
+    struct Key
+    {
+        Tick when;
+        LaneId lane;
+        Tick sendTick;
+        LaneId senderLane;
+        std::size_t id; ///< issue order
+    };
+    std::vector<Key> issued;
+    std::vector<std::size_t> fired;
+    std::uint64_t x = seed;
+    auto rnd = [&x](std::uint64_t n) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        return (x >> 33) % n;
+    };
+    const Tick delays[] = {0,
+                           1,
+                           2,
+                           3,
+                           nearWindow - 1,
+                           nearWindow,
+                           nearWindow + 1,
+                           100,
+                           ringWindow - 1,
+                           ringWindow,
+                           ringWindow + 1,
+                           3 * ringWindow + 17};
+    auto pickDelay = [&] { return delays[rnd(std::size(delays))]; };
+    std::size_t spawnBudget = 0;
+
+    std::function<void(std::size_t)> body;
+    auto issue = [&](LaneId lane, Tick delay) {
+        const std::size_t id = issued.size();
+        issued.push_back(
+            {eq.now() + delay, lane, eq.now(), eq.currentLane(), id});
+        eq.scheduleL(lane, delay, [&body, id] { body(id); });
+    };
+    body = [&](std::size_t id) {
+        fired.push_back(id);
+        EXPECT_EQ(eq.now(), issued[id].when);
+        EXPECT_EQ(eq.currentLane(), issued[id].lane);
+        for (std::uint64_t k = rnd(3); k > 0 && spawnBudget > 0;
+             --k, --spawnBudget) {
+            const Tick delay = pickDelay();
+            // A same-tick follow-up may only target this or a later
+            // lane: earlier lanes already ran this tick.
+            const LaneId cur = eq.currentLane();
+            const LaneId lane = static_cast<LaneId>(
+                delay == 0 ? cur + rnd(numLanes - cur) : rnd(numLanes));
+            issue(lane, delay);
+        }
+    };
+
+    std::size_t foreignCount = 0;
+    for (int wave = 0; wave < 10; ++wave) {
+        spawnBudget = 3000;
+        const Tick gap = 2 * ringWindow + rnd(ringWindow);
+        for (int i = 0; i < 6; ++i)
+            issue(static_cast<LaneId>(rnd(numLanes)), gap + rnd(3));
+        while (!eq.empty()) {
+            const std::uint64_t step = rnd(3);
+            if (step == 0) {
+                eq.runUntil(eq.now() + 1 + rnd(300));
+                continue;
+            }
+            if (step == 1) {
+                eq.run(rnd(2 * ringWindow));
+                continue;
+            }
+            // Align the clock forward as the parallel engine does;
+            // once it moved, the new tick has not run, so events may
+            // be filed for it from outside a drain.
+            const Tick before = eq.now();
+            eq.advanceTo(std::min(eq.nextEventTick(),
+                                  before + 1 + rnd(20)));
+            const Tick first = eq.now() + (eq.now() > before ? 0 : 1);
+            issue(static_cast<LaneId>(rnd(numLanes)),
+                  first - eq.now() + pickDelay());
+            if (!foreign || rnd(2))
+                continue;
+            for (std::uint64_t n = 1 + rnd(3); n > 0; --n) {
+                const std::size_t id = issued.size();
+                const Key k{first + pickDelay(),
+                            static_cast<LaneId>(rnd(numLanes)),
+                            eq.now() - 1 - rnd(std::min<Tick>(eq.now(), 6)),
+                            static_cast<LaneId>(rnd(numLanes)), id};
+                issued.push_back(k);
+                eq.insertForeign(k.lane, k.when, k.sendTick, k.senderLane,
+                                 [&body, id] { body(id); });
+                ++foreignCount;
+            }
+        }
+    }
+
+    std::vector<Key> want = issued;
+    std::sort(want.begin(), want.end(), [](const Key &a, const Key &b) {
+        return std::tie(a.when, a.lane, a.sendTick, a.senderLane, a.id) <
+               std::tie(b.when, b.lane, b.sendTick, b.senderLane, b.id);
+    });
+    std::vector<std::size_t> wantIds;
+    for (const Key &k : want)
+        wantIds.push_back(k.id);
+    ASSERT_EQ(fired.size(), issued.size());
+    EXPECT_EQ(fired, wantIds);
+    EXPECT_EQ(eq.executedEvents(), issued.size());
+    EXPECT_EQ(eq.poolStats().scheduled, issued.size());
+    if (foreign) {
+        EXPECT_GT(foreignCount, 0u);
+        EXPECT_GT(eq.poolStats().laneSorts, 0u); // the merge path ran
+    } else {
+        EXPECT_EQ(eq.poolStats().laneSorts, 0u);
+    }
+}
+
+TEST(EventQueueOrder, LanesMatchReferenceModel)
+{
+    for (std::uint64_t seed : {1u, 2u, 3u})
+        expectReferenceOrder(seed, /*foreign=*/false);
+}
+
+TEST(EventQueueOrder, ForeignInsertsMatchReferenceModel)
+{
+    for (std::uint64_t seed : {4u, 5u, 6u})
+        expectReferenceOrder(seed, /*foreign=*/true);
 }
 
 // ---------------------------------------------------------------------

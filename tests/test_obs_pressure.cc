@@ -521,7 +521,7 @@ TEST(RunReportV2, StrictSupersetOfV1WithLatencyAndHeatmap)
     meta.hwCoverage = 0.5;
     std::ostringstream os;
     obs::writeRunReport(os, meta, s->stats(), s->syncProfiler(), 8,
-                        s->sampler(), &s->eventQueue(), s->monitor());
+                        s->sampler(), s->eventStats(), s->monitor());
     const util::Json r = parsed(os.str());
 
     EXPECT_EQ(r.at("schemaVersion").uintOr(0), 4u);
