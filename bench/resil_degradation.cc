@@ -41,6 +41,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -212,20 +213,19 @@ deadCoreSection(unsigned cores)
                 "Rehomed");
     bool ok = true;
     bool any_revocation = false;
-    const std::vector<std::string> capture = {
-        "tile0.msa.failovers", "tile1.msa.handoffsApplied"};
     for (const std::string &app : headlineApps()) {
         const AppSpec &spec = appByName(app);
-        RunOptions opts;
-        opts.tickLimit = 100000000ULL;
-        opts.captureCounters = &capture;
-
         RunResult rr[4];
+        std::unique_ptr<sys::System> failover;
         const CoreVariant vs[4] = {CoreVariant::Clean,
                                    CoreVariant::OneCore,
                                    CoreVariant::CoreHoldingLock,
                                    CoreVariant::SliceFailover};
         for (int i = 0; i < 4; ++i) {
+            RunOptions opts;
+            opts.tickLimit = 100000000ULL;
+            if (vs[i] == CoreVariant::SliceFailover)
+                opts.system = &failover;
             rr[i] = runAppWithConfig(spec,
                                      coreVariantConfig(vs[i], cores),
                                      sync::SyncLib::Flavor::Hw, 1, app,
@@ -240,8 +240,9 @@ deadCoreSection(unsigned cores)
                 ok = false;
         any_revocation |= rr[2].resilience["lockRevocations"] > 0;
         // The failover row: the slice moved, nothing was shed.
-        if (rr[3].captured.at("tile0.msa.failovers") != 1 ||
-            rr[3].captured.at("tile1.msa.handoffsApplied") != 1)
+        const StatRegistry &fs = failover->stats();
+        if (fs.counterValue("tile0.msa.failovers") != 1 ||
+            fs.counterValue("tile1.msa.handoffsApplied") != 1)
             ok = false;
 
         std::printf("%-14s %9llu %9llu %10llu %6llu %7llu %9llu "

@@ -2,14 +2,153 @@
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <sstream>
 
-#include "orch/json.hh"
+#include "sim/logging.hh"
+#include "util/json.hh"
 
 namespace misar {
 namespace orch {
 
 namespace {
+
+/**
+ * The report's columns, in report.json order within each block: the
+ * block, the key, the run-report members summed into a job's value
+ * ('/'-separated paths under the block's root; "" is the root itself,
+ * so a block's "jobs" column counts the jobs that show the block),
+ * the decimals and the fold. Speedup reads no member: the report
+ * folds it from the baseline match. A new row shows in report.json;
+ * report.csv prints what csvFields lists.
+ */
+const Column columnTable[] = {
+    {"", "makespan", {"meta/makespan"}, 3, Fold::Agg},
+    {"", "hwCoverage", {"meta/hwCoverage"}, 6, Fold::Agg},
+    {"", "speedup", {}, 6, Fold::Agg},
+    {"", "syncWait", {"latency/syncWait"}, 3, Fold::Hist},
+    {"pressure", "jobs", {""}, 0, Fold::Count},
+    {"pressure", "overflowEvents", {"overflowEvents"}, 3, Fold::Agg},
+    {"pressure", "omuEpisodes", {"omuEpisodes"}, 3, Fold::Agg},
+    {"pressure", "omuEpisodeTicks", {"omuEpisodeTicks"}, 3, Fold::Agg},
+    {"pressure", "omuHighWater", {"omuHighWater"}, 3, Fold::Agg},
+    {"pressure", "maxSliceOccupancy", {"maxSliceOccupancy"}, 3, Fold::Agg},
+    {"pressure", "maxNiQueueDepth", {"maxNiQueueDepth"}, 3, Fold::Agg},
+    {"server", "jobs", {""}, 0, Fold::Count},
+    {"server", "throughput", {"throughput"}, 6, Fold::Agg},
+    {"server", "goodput", {"goodput"}, 6, Fold::Agg},
+    {"server", "rejected", {"rejected"}, 3, Fold::Agg},
+    {"server", "rejectedSlo", {"rejectedSlo"}, 3, Fold::Agg},
+    {"server", "retries", {"retries/attempts"}, 3, Fold::Agg},
+    {"server", "stranded", {"stranded"}, 3, Fold::Agg},
+    {"server", "knee", {"knee"}, 0, Fold::Count},
+    {"server", "latency", {"latency"}, 3, Fold::Hist},
+    {"tenants", "jobs", {""}, 0, Fold::Count},
+    {"hi", "goodput", {"goodput"}, 6, Fold::Agg},
+    // A tenant's rejected requests: full-ring and SLO final sheds.
+    {"hi", "rejected", {"rejected", "rejectedSlo"}, 3, Fold::Agg},
+    {"hi", "latency", {"latency"}, 3, Fold::Hist},
+    {"lo", "goodput", {"goodput"}, 6, Fold::Agg},
+    {"lo", "rejected", {"rejected", "rejectedSlo"}, 3, Fold::Agg},
+    {"lo", "latency", {"latency"}, 3, Fold::Hist},
+};
+
+/** Each block's root in a run report (a step into an array picks the
+ *  element of that name). A job shows a block when its report has
+ *  the root; "" is the report itself, always shown. */
+const std::map<std::string, std::string> blockRoots = {
+    {"", ""}, {"stats", ""}, {"pressure", "heatmap"}, {"server", "server"},
+    {"tenants", "server/tenants"}, {"hi", "server/tenants/hi"},
+    {"lo", "server/tenants/lo"}};
+
+/** report.csv's fields after a cell's axes and outcome counts: a
+ *  header prefix, the column and its statistics, "<prefix>_<stat>"
+ *  each. The speedup and spec stats fields follow hwCoverage. */
+struct CsvField
+{
+    std::string prefix, column;
+    std::vector<std::string> stats;
+};
+
+const CsvField csvFields[] = {
+    {"makespan", "makespan", {"mean", "ci95", "min", "max"}},
+    {"hwCoverage", "hwCoverage", {"mean", "ci95"}},
+    {"syncWait", "syncWait", {"count", "mean", "p50", "p90", "p99", "p999",
+                              "max"}},
+    {"pressure", "pressure.jobs", {"jobs"}},
+    {"overflowEvents", "pressure.overflowEvents", {"mean"}},
+    {"omuEpisodes", "pressure.omuEpisodes", {"mean"}},
+    {"omuEpisodeTicks", "pressure.omuEpisodeTicks", {"mean"}},
+    {"omuHighWater", "pressure.omuHighWater", {"max"}},
+    {"maxSliceOccupancy", "pressure.maxSliceOccupancy", {"max"}},
+    {"maxNiQueueDepth", "pressure.maxNiQueueDepth", {"max"}},
+    {"server", "server.jobs", {"jobs"}},
+    {"throughput", "server.throughput", {"mean", "ci95"}},
+    {"rejected", "server.rejected", {"mean"}},
+    {"stranded", "server.stranded", {"mean"}},
+    {"reqLatency", "server.latency", {"p50", "p99", "p999"}},
+    {"knee", "server.knee", {"jobs"}},
+    {"goodput", "server.goodput", {"mean", "ci95"}},
+    {"rejectedSlo", "server.rejectedSlo", {"mean"}},
+    {"retries", "server.retries", {"mean"}},
+    {"hi_goodput", "hi.goodput", {"mean"}},
+    {"hi_rejected", "hi.rejected", {"mean"}},
+    {"hi", "hi.latency", {"p99"}},
+    {"lo_goodput", "lo.goodput", {"mean"}},
+    {"lo_rejected", "lo.rejected", {"mean"}},
+    {"lo", "lo.latency", {"p99"}},
+};
+
+/** The report's columns for @p spec: the table plus one "stats"
+ *  column per spec-selected counter. */
+std::vector<Column>
+reportColumns(const CampaignSpec &spec)
+{
+    std::vector<Column> out(std::begin(columnTable), std::end(columnTable));
+    for (const std::string &s : spec.stats)
+        out.push_back({"stats", s, {"stats/counters/" + s}, 3, Fold::Agg});
+    return out;
+}
+
+/** The index of the column called "key" (top level) or "block.key". */
+std::size_t
+indexOf(const std::vector<Column> &columns, const std::string &name)
+{
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+        const Column &c = columns[i];
+        if (name == (c.block.empty() ? c.key : c.block + "." + c.key))
+            return i;
+    }
+    panic("no campaign-report column '%s'", name.c_str());
+}
+
+/** The value at '/'-separated @p path under @p v; a null value when
+ *  absent. A step into an array picks the element of that "name". */
+const util::Json &
+lookup(const util::Json &v, const std::string &path)
+{
+    if (path.empty())
+        return v;
+    const std::size_t slash = path.find('/');
+    const std::string step = path.substr(0, slash);
+    const util::Json *next = &v.at(step); // null unless v is an object
+    for (const util::Json &e : v.arr)
+        if (e.at("name").stringOr("") == step) {
+            next = &e;
+            break;
+        }
+    return slash == std::string::npos ? *next
+                                      : lookup(*next, path.substr(slash + 1));
+}
+
+/** A member as a number: true and a block's root count 1. */
+double
+numberOf(const util::Json &j)
+{
+    if (j.kind == util::Json::Bool)
+        return j.boolean;
+    return j.isObj() || j.isArr() ? 1.0 : j.numberOr(0.0);
+}
 
 std::string
 cellKey(const std::string &preset, const std::string &app, unsigned cores,
@@ -36,6 +175,19 @@ fmt(double v, int decimals)
     return buf;
 }
 
+/** @p s as one RFC 4180 field: quoted, inner quotes doubled, when it
+ *  holds a comma, a quote or a line break. */
+std::string
+csvField(const std::string &s)
+{
+    if (s.find_first_of(",\"\r\n") == std::string::npos)
+        return s;
+    std::string out = "\"";
+    for (char ch : s)
+        out += ch == '"' ? "\"\"" : std::string(1, ch);
+    return out + "\"";
+}
+
 /** Two-sided 95% Student-t critical value for @p df degrees of
  *  freedom (the normal 1.96 beyond the tabulated range). */
 double
@@ -54,31 +206,62 @@ tCrit95(unsigned df)
     return 1.96;
 }
 
-/** One aggregate as a {n, mean, ci95, min, max} member. */
-void
-writeAgg(JsonWriter &w, const std::string &name, const Agg &a, int decimals)
+/** One printed statistic of a fold. */
+struct Stat
 {
-    w.key(name).beginObject();
-    w.kv("n", a.n);
-    w.kv("mean", a.mean(), decimals);
-    w.kv("ci95", a.ci95(), decimals);
-    w.kv("min", a.mn, decimals);
-    w.kv("max", a.mx, decimals);
+    const char *name;
+    double value;
+    int decimals;
+};
+
+/** Fold @p f of column @p col as report.json prints it: an Agg's n,
+ *  mean, ci95, min and max, a histogram's count, mean and p50 to
+ *  max, a Count's number of jobs. */
+std::vector<Stat>
+statsOf(const Column &col, const ColumnFold &f)
+{
+    const int d = col.decimals;
+    const Agg &a = f.agg;
+    const obs::LogHistogram &h = f.hist;
+    if (col.fold == Fold::Agg)
+        return {{"n", double(a.n), 0}, {"mean", a.mean(), d},
+                {"ci95", a.ci95(), d}, {"min", a.mn, d}, {"max", a.mx, d}};
+    if (col.fold == Fold::Hist)
+        return {{"count", double(h.count()), 0}, {"mean", h.mean(), d},
+                {"p50", double(h.p50()), 0},     {"p90", double(h.p90()), 0},
+                {"p99", double(h.p99()), 0},     {"p999", double(h.p999()), 0},
+                {"max", double(h.max()), 0}};
+    return {{"jobs", double(f.count), 0}};
+}
+
+/** Column @p col's fold @p f as the next member of @p w. */
+void
+writeColumn(util::JsonWriter &w, const Column &col, const ColumnFold &f)
+{
+    const std::vector<Stat> stats = statsOf(col, f);
+    if (col.fold == Fold::Count) {
+        w.kv(col.key, stats[0].value, 0);
+        return;
+    }
+    w.key(col.key).beginObject();
+    for (const Stat &s : stats)
+        w.kv(s.name, s.value, s.decimals);
     w.endObject();
 }
 
-/** Percentile summary of a merged sync-wait histogram. */
+/** Cell @p c's @p block as an object of @p w: its columns, then
+ *  whatever @p nested writes. */
 void
-writeHist(JsonWriter &w, const obs::LogHistogram &h)
+writeBlock(util::JsonWriter &w, const std::vector<Column> &columns,
+           const Cell &c, const std::string &block,
+           const std::function<void()> &nested = {})
 {
-    w.beginObject();
-    w.kv("count", h.count());
-    w.kv("mean", h.mean(), 3);
-    w.kv("p50", h.p50());
-    w.kv("p90", h.p90());
-    w.kv("p99", h.p99());
-    w.kv("p999", h.p999());
-    w.kv("max", h.max());
+    w.key(block).beginObject();
+    for (std::size_t i = 0; i < columns.size(); ++i)
+        if (columns[i].block == block)
+            writeColumn(w, columns[i], c.folds[i]);
+    if (nested)
+        nested();
     w.endObject();
 }
 
@@ -104,9 +287,37 @@ Agg::ci95() const
     return tCrit95(n - 1) * std::sqrt(var / n);
 }
 
+void
+ingestReport(JobRecord &r, const CampaignSpec &spec, const util::Json &doc)
+{
+    r.resilience = obs::parseResilience(doc.at("resilience"));
+    const std::vector<Column> columns = reportColumns(spec);
+    r.values.assign(columns.size(), ColumnValue{});
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+        const Column &col = columns[i];
+        const std::string &path = blockRoots.at(col.block);
+        const util::Json &root = lookup(doc, path);
+        const bool shown = path.empty() || root.isObj() ||
+                           (root.isArr() && !root.arr.empty());
+        if (!shown || col.members.empty())
+            continue;
+        ColumnValue &v = r.values[i];
+        v.num = 0.0;
+        for (const std::string &m : col.members) {
+            obs::LogHistogram h;
+            if (col.fold != Fold::Hist)
+                v.num += numberOf(lookup(root, m));
+            else if (obs::LogHistogram::fromJson(lookup(root, m), h))
+                v.hist.merge(h);
+        }
+    }
+    r.makespan = static_cast<Tick>(r.values[indexOf(columns, "makespan")].num);
+    r.syncWait = r.values[indexOf(columns, "syncWait")].hist;
+}
+
 CampaignReport::CampaignReport(const CampaignSpec &spec,
                                const std::vector<JobRecord> &records)
-    : spec(spec), records(records)
+    : spec(spec), records(records), columns(reportColumns(spec))
 {
     // A cell is the jobs that differ only in seed and rep; its first
     // job in grid order places it.
@@ -120,6 +331,7 @@ CampaignReport::CampaignReport(const CampaignSpec &spec,
         cell.arrivalRate = j.arrivalRate;
         cell.retryPolicy = j.retryPolicy;
         cell.tenantMix = j.tenantMix;
+        cell.folds.resize(columns.size());
         _cells.push_back(std::move(cell));
     }
 
@@ -133,74 +345,27 @@ CampaignReport::CampaignReport(const CampaignSpec &spec,
         cell.recs.push_back(&r);
         if (r.outcome != JobOutcome::Finished)
             continue;
-        cell.makespan.add(static_cast<double>(r.makespan));
-        cell.hwCoverage.add(r.hwCoverage);
-        cell.syncWait.merge(r.syncWait);
-        if (r.hasPressure) {
-            cell.overflowEvents.add(
-                static_cast<double>(r.overflowEvents));
-            cell.omuEpisodes.add(static_cast<double>(r.omuEpisodes));
-            cell.omuEpisodeTicks.add(
-                static_cast<double>(r.omuEpisodeTicks));
-            cell.omuHighWater.add(static_cast<double>(r.omuHighWater));
-            cell.maxSliceOccupancy.add(r.maxSliceOccupancy);
-            cell.maxNiQueueDepth.add(r.maxNiQueueDepth);
-        }
-        if (r.hasServer) {
-            ++cell.srvJobs;
-            cell.srvKnee += r.srvKnee;
-            cell.srvThroughput.add(r.srvThroughput);
-            cell.srvRejected.add(static_cast<double>(r.srvRejected));
-            cell.srvStranded.add(static_cast<double>(r.srvStranded));
-            cell.srvLatency.merge(r.srvLatency);
-            cell.srvGoodput.add(r.srvGoodput);
-            cell.srvRejectedSlo.add(
-                static_cast<double>(r.srvRejectedSlo));
-            cell.srvRetries.add(static_cast<double>(r.srvRetries));
-            if (!r.srvTenants.empty())
-                ++cell.srvTenantJobs;
-            for (const JobRecord::TenantRecord &t : r.srvTenants) {
-                if (t.name == "hi") {
-                    cell.srvHiGoodput.add(t.goodput);
-                    cell.srvHiRejected.add(
-                        static_cast<double>(t.rejected));
-                    cell.srvHiLatency.merge(t.latency);
-                } else if (t.name == "lo") {
-                    cell.srvLoGoodput.add(t.goodput);
-                    cell.srvLoRejected.add(
-                        static_cast<double>(t.rejected));
-                    cell.srvLoLatency.merge(t.latency);
-                }
-            }
-        }
-        for (const std::string &s : spec.stats) {
-            auto cv = r.counters.find(s);
-            cell.counters[s].add(
-                cv == r.counters.end()
-                    ? 0.0
-                    : static_cast<double>(cv->second));
+        if (r.values.size() != columns.size())
+            panic("job %u was not ingested with this spec's columns",
+                  r.job.id);
+        for (std::size_t i = 0; i < columns.size(); ++i) {
+            const ColumnValue &v = r.values[i];
+            ColumnFold &f = cell.folds[i];
+            if (columns[i].fold == Fold::Hist)
+                f.hist.merge(v.hist);
+            else if (columns[i].fold == Fold::Count)
+                f.count += v.num > 0;
+            else if (!std::isnan(v.num))
+                f.agg.add(v.num);
         }
     }
 
     // Speedups need every cell populated first.
-    if (!spec.baseline.empty()) {
-        for (Cell &cell : _cells) {
-            if (cell.preset == spec.baseline)
-                continue;
-            for (const JobRecord *r : cell.recs) {
-                if (r->outcome != JobOutcome::Finished || !r->makespan)
-                    continue;
-                const JobRecord *b =
-                    match(spec.baseline, cell.app, cell.cores,
-                          cell.arrivalRate, cell.retryPolicy,
-                          cell.tenantMix, r->job.seed, r->job.rep);
-                if (b && b->outcome == JobOutcome::Finished &&
-                    b->makespan)
-                    cell.speedup.add(static_cast<double>(b->makespan) /
-                                     static_cast<double>(r->makespan));
-            }
-        }
-    }
+    const std::size_t speedup = indexOf(columns, "speedup");
+    for (Cell &cell : _cells)
+        if (cell.preset != spec.baseline)
+            for (double s : speedups(cell))
+                cell.folds[speedup].agg.add(s);
 }
 
 const Cell *
@@ -214,21 +379,10 @@ CampaignReport::cell(const std::string &preset, const std::string &app,
     return it == index.end() ? nullptr : &_cells[it->second];
 }
 
-const JobRecord *
-CampaignReport::match(const std::string &preset, const std::string &app,
-                      unsigned cores, double arrivalRate,
-                      const std::string &retryPolicy,
-                      const std::string &tenantMix, std::uint64_t seed,
-                      unsigned rep) const
+const ColumnFold &
+CampaignReport::column(const Cell &c, const std::string &name) const
 {
-    const Cell *c =
-        cell(preset, app, cores, arrivalRate, retryPolicy, tenantMix);
-    if (!c)
-        return nullptr;
-    for (const JobRecord *r : c->recs)
-        if (r->job.seed == seed && r->job.rep == rep)
-            return r;
-    return nullptr;
+    return c.folds[indexOf(columns, name)];
 }
 
 std::vector<double>
@@ -237,21 +391,32 @@ CampaignReport::speedups(const std::string &preset, const std::string &app,
                          const std::string &retryPolicy,
                          const std::string &tenantMix) const
 {
-    std::vector<double> out;
-    if (spec.baseline.empty())
-        return out;
     const Cell *c =
         cell(preset, app, cores, arrivalRate, retryPolicy, tenantMix);
-    if (!c)
-        return out;
-    for (const JobRecord *r : c->recs) {
-        if (r->outcome != JobOutcome::Finished || !r->makespan)
+    return c ? speedups(*c) : std::vector<double>{};
+}
+
+std::vector<double>
+CampaignReport::speedups(const Cell &c) const
+{
+    std::vector<double> out;
+    const Cell *base = cell(spec.baseline, c.app, c.cores, c.arrivalRate,
+                            c.retryPolicy, c.tenantMix);
+    if (!base)
+        return out; // no baseline configured, or not in the grid
+    auto finished = [](const JobRecord *r) {
+        return r->outcome == JobOutcome::Finished && r->makespan;
+    };
+    for (const JobRecord *r : c.recs) {
+        if (!finished(r))
             continue;
-        const JobRecord *b = match(spec.baseline, app, cores,
-                                   arrivalRate, retryPolicy, tenantMix,
-                                   r->job.seed, r->job.rep);
-        if (b && b->outcome == JobOutcome::Finished && b->makespan)
-            out.push_back(static_cast<double>(b->makespan) /
+        // The baseline job with the same seed and rep.
+        auto b = std::find_if(
+            base->recs.begin(), base->recs.end(), [r](const JobRecord *b) {
+                return b->job.seed == r->job.seed && b->job.rep == r->job.rep;
+            });
+        if (b != base->recs.end() && finished(*b))
+            out.push_back(static_cast<double>((*b)->makespan) /
                           static_cast<double>(r->makespan));
     }
     return out;
@@ -279,7 +444,7 @@ CampaignReport::failures() const
 void
 CampaignReport::writeJson(std::ostream &os) const
 {
-    JsonWriter w(os);
+    util::JsonWriter w(os);
     w.beginObject();
     w.kv("schemaVersion", 4);
     w.kv("campaign", spec.name);
@@ -292,6 +457,10 @@ CampaignReport::writeJson(std::ostream &os) const
 
     w.key("cells").beginArray();
     for (const Cell &c : _cells) {
+        auto top = [&](const std::string &name) {
+            const std::size_t i = indexOf(columns, name);
+            writeColumn(w, columns[i], c.folds[i]);
+        };
         w.beginObject();
         w.kv("preset", c.preset);
         w.kv("app", c.app);
@@ -310,66 +479,24 @@ CampaignReport::writeJson(std::ostream &os) const
                 w.kv(it->first, it->second);
         }
         w.endObject();
-        writeAgg(w, "makespan", c.makespan, 3);
-        writeAgg(w, "hwCoverage", c.hwCoverage, 6);
+        top("makespan");
+        top("hwCoverage");
         if (!spec.baseline.empty() && c.preset != spec.baseline)
-            writeAgg(w, "speedup", c.speedup, 6);
-        if (!spec.stats.empty()) {
-            w.key("stats").beginObject();
-            for (const std::string &s : spec.stats) {
-                auto it = c.counters.find(s);
-                static const Agg empty;
-                writeAgg(w, s, it == c.counters.end() ? empty : it->second,
-                         3);
-            }
-            w.endObject();
-        }
-        if (!c.syncWait.empty()) {
-            w.key("syncWait");
-            writeHist(w, c.syncWait);
-        }
-        if (c.overflowEvents.n) {
-            w.key("pressure").beginObject();
-            w.kv("jobs", c.overflowEvents.n);
-            writeAgg(w, "overflowEvents", c.overflowEvents, 3);
-            writeAgg(w, "omuEpisodes", c.omuEpisodes, 3);
-            writeAgg(w, "omuEpisodeTicks", c.omuEpisodeTicks, 3);
-            writeAgg(w, "omuHighWater", c.omuHighWater, 3);
-            writeAgg(w, "maxSliceOccupancy", c.maxSliceOccupancy, 3);
-            writeAgg(w, "maxNiQueueDepth", c.maxNiQueueDepth, 3);
-            w.endObject();
-        }
-        if (c.srvJobs) {
-            w.key("server").beginObject();
-            w.kv("jobs", c.srvJobs);
-            writeAgg(w, "throughput", c.srvThroughput, 6);
-            writeAgg(w, "goodput", c.srvGoodput, 6);
-            writeAgg(w, "rejected", c.srvRejected, 3);
-            writeAgg(w, "rejectedSlo", c.srvRejectedSlo, 3);
-            writeAgg(w, "retries", c.srvRetries, 3);
-            writeAgg(w, "stranded", c.srvStranded, 3);
-            w.kv("knee", c.srvKnee);
-            w.key("latency");
-            writeHist(w, c.srvLatency);
-            if (c.srvTenantJobs) {
-                w.key("tenants").beginObject();
-                w.kv("jobs", c.srvTenantJobs);
-                w.key("hi").beginObject();
-                writeAgg(w, "goodput", c.srvHiGoodput, 6);
-                writeAgg(w, "rejected", c.srvHiRejected, 3);
-                w.key("latency");
-                writeHist(w, c.srvHiLatency);
-                w.endObject();
-                w.key("lo").beginObject();
-                writeAgg(w, "goodput", c.srvLoGoodput, 6);
-                writeAgg(w, "rejected", c.srvLoRejected, 3);
-                w.key("latency");
-                writeHist(w, c.srvLoLatency);
-                w.endObject();
-                w.endObject();
-            }
-            w.endObject();
-        }
+            top("speedup");
+        if (!spec.stats.empty())
+            writeBlock(w, columns, c, "stats");
+        if (!column(c, "syncWait").hist.empty())
+            top("syncWait");
+        if (column(c, "pressure.jobs").count)
+            writeBlock(w, columns, c, "pressure");
+        if (column(c, "server.jobs").count)
+            writeBlock(w, columns, c, "server", [&] {
+                if (column(c, "tenants.jobs").count)
+                    writeBlock(w, columns, c, "tenants", [&] {
+                        writeBlock(w, columns, c, "hi");
+                        writeBlock(w, columns, c, "lo");
+                    });
+            });
         w.endObject();
     }
     w.endArray();
@@ -391,81 +518,40 @@ CampaignReport::writeJson(std::ostream &os) const
 void
 CampaignReport::writeCsv(std::ostream &os) const
 {
+    std::vector<CsvField> fields(std::begin(csvFields), std::end(csvFields));
+    std::vector<CsvField> extra;
+    const std::vector<std::string> agg = {"mean", "ci95", "min", "max"};
+    if (!spec.baseline.empty())
+        extra.push_back({"speedup", "speedup", agg});
+    for (const std::string &s : spec.stats)
+        extra.push_back({s, "stats." + s, agg});
+    fields.insert(fields.begin() + 2, extra.begin(), extra.end());
+
     os << "preset,app,cores,arrivalRate,retryPolicy,tenantMix,jobs";
     for (JobOutcome o : outcomeOrder)
         os << "," << jobOutcomeName(o);
-    os << ",makespan_mean,makespan_ci95,makespan_min,makespan_max"
-          ",hwCoverage_mean,hwCoverage_ci95";
-    if (!spec.baseline.empty())
-        os << ",speedup_mean,speedup_ci95,speedup_min,speedup_max";
-    for (const std::string &s : spec.stats)
-        os << "," << s << "_mean," << s << "_ci95," << s << "_min,"
-           << s << "_max";
-    os << ",syncWait_count,syncWait_mean,syncWait_p50,syncWait_p90"
-          ",syncWait_p99,syncWait_p999,syncWait_max";
-    os << ",pressure_jobs,overflowEvents_mean,omuEpisodes_mean"
-          ",omuEpisodeTicks_mean,omuHighWater_max"
-          ",maxSliceOccupancy_max,maxNiQueueDepth_max";
-    os << ",server_jobs,throughput_mean,throughput_ci95,rejected_mean"
-          ",stranded_mean,reqLatency_p50,reqLatency_p99"
-          ",reqLatency_p999,knee_jobs";
-    os << ",goodput_mean,goodput_ci95,rejectedSlo_mean,retries_mean"
-          ",hi_goodput_mean,hi_rejected_mean,hi_p99"
-          ",lo_goodput_mean,lo_rejected_mean,lo_p99";
+    for (const CsvField &f : fields)
+        for (const std::string &stat : f.stats)
+            os << "," << csvField(f.prefix + "_" + stat);
     os << "\n";
 
     for (const Cell &c : _cells) {
-        os << c.preset << "," << c.app << "," << c.cores << ","
-           << formatRate(c.arrivalRate) << "," << c.retryPolicy << ","
-           << c.tenantMix << "," << c.jobs;
+        os << csvField(c.preset) << "," << csvField(c.app) << ","
+           << c.cores << "," << formatRate(c.arrivalRate) << ","
+           << csvField(c.retryPolicy) << "," << csvField(c.tenantMix)
+           << "," << c.jobs;
         for (JobOutcome o : outcomeOrder) {
             auto it = c.outcomes.find(jobOutcomeName(o));
             os << "," << (it == c.outcomes.end() ? 0u : it->second);
         }
-        os << "," << fmt(c.makespan.mean(), 3) << ","
-           << fmt(c.makespan.ci95(), 3) << "," << fmt(c.makespan.mn, 3)
-           << "," << fmt(c.makespan.mx, 3) << ","
-           << fmt(c.hwCoverage.mean(), 6) << ","
-           << fmt(c.hwCoverage.ci95(), 6);
-        if (!spec.baseline.empty()) {
-            os << "," << fmt(c.speedup.mean(), 6) << ","
-               << fmt(c.speedup.ci95(), 6) << ","
-               << fmt(c.speedup.mn, 6) << "," << fmt(c.speedup.mx, 6);
+        for (const CsvField &f : fields) {
+            const std::size_t i = indexOf(columns, f.column);
+            const std::vector<Stat> stats = statsOf(columns[i], c.folds[i]);
+            for (const std::string &stat : f.stats)
+                for (const Stat &s : stats)
+                    if (stat == s.name)
+                        os << "," << fmt(s.value, s.decimals);
         }
-        for (const std::string &s : spec.stats) {
-            auto it = c.counters.find(s);
-            static const Agg empty;
-            const Agg &a = it == c.counters.end() ? empty : it->second;
-            os << "," << fmt(a.mean(), 3) << "," << fmt(a.ci95(), 3)
-               << "," << fmt(a.mn, 3) << "," << fmt(a.mx, 3);
-        }
-        os << "," << c.syncWait.count() << ","
-           << fmt(c.syncWait.mean(), 3) << "," << c.syncWait.p50()
-           << "," << c.syncWait.p90() << "," << c.syncWait.p99() << ","
-           << c.syncWait.p999() << "," << c.syncWait.max();
-        os << "," << c.overflowEvents.n << ","
-           << fmt(c.overflowEvents.mean(), 3) << ","
-           << fmt(c.omuEpisodes.mean(), 3) << ","
-           << fmt(c.omuEpisodeTicks.mean(), 3) << ","
-           << fmt(c.omuHighWater.mx, 3) << ","
-           << fmt(c.maxSliceOccupancy.mx, 3) << ","
-           << fmt(c.maxNiQueueDepth.mx, 3);
-        os << "," << c.srvJobs << "," << fmt(c.srvThroughput.mean(), 6)
-           << "," << fmt(c.srvThroughput.ci95(), 6) << ","
-           << fmt(c.srvRejected.mean(), 3) << ","
-           << fmt(c.srvStranded.mean(), 3) << "," << c.srvLatency.p50()
-           << "," << c.srvLatency.p99() << "," << c.srvLatency.p999()
-           << "," << c.srvKnee;
-        os << "," << fmt(c.srvGoodput.mean(), 6) << ","
-           << fmt(c.srvGoodput.ci95(), 6) << ","
-           << fmt(c.srvRejectedSlo.mean(), 3) << ","
-           << fmt(c.srvRetries.mean(), 3) << ","
-           << fmt(c.srvHiGoodput.mean(), 6) << ","
-           << fmt(c.srvHiRejected.mean(), 3) << ","
-           << c.srvHiLatency.p99() << ","
-           << fmt(c.srvLoGoodput.mean(), 6) << ","
-           << fmt(c.srvLoRejected.mean(), 3) << ","
-           << c.srvLoLatency.p99();
         os << "\n";
     }
 }
@@ -482,27 +568,30 @@ CampaignReport::writeTable(std::ostream &os) const
     for (const Cell &c : _cells) {
         auto fin = c.outcomes.find("finished");
         unsigned ok = fin == c.outcomes.end() ? 0 : fin->second;
-        std::string sp = "-";
-        if (!spec.baseline.empty() && c.preset != spec.baseline &&
-            c.speedup.n)
-            sp = fmt(c.speedup.mean(), 2);
-        std::string wait = "-";
-        if (!c.syncWait.empty())
-            wait = std::to_string(c.syncWait.p99());
+        const Agg &makespan = column(c, "makespan").agg;
+        // Speedups exist only for non-baseline cells with a baseline.
+        const Agg &speedup = column(c, "speedup").agg;
+        const std::string sp = speedup.n ? fmt(speedup.mean(), 2) : "-";
+        const obs::LogHistogram &syncWait = column(c, "syncWait").hist;
+        const std::string wait =
+            syncWait.empty() ? "-" : std::to_string(syncWait.p99());
         std::snprintf(line, sizeof(line),
                       "%-20s %-14s %5u %2u/%-2u %12.0f %11.0f %7.1f%% "
                       "%9s %9s\n",
                       c.preset.c_str(), c.app.c_str(), c.cores, ok,
-                      c.jobs, c.makespan.mean(), c.makespan.ci95(),
-                      100.0 * c.hwCoverage.mean(), sp.c_str(),
-                      wait.c_str());
+                      c.jobs, makespan.mean(), makespan.ci95(),
+                      100.0 * column(c, "hwCoverage").agg.mean(),
+                      sp.c_str(), wait.c_str());
         os << line;
     }
 
-    bool anyServer = false;
-    for (const Cell &c : _cells)
-        anyServer |= c.srvJobs != 0;
-    if (anyServer) {
+    auto any = [&](const char *name) {
+        for (const Cell &c : _cells)
+            if (column(c, name).count)
+                return true;
+        return false;
+    };
+    if (any("server.jobs")) {
         std::snprintf(line, sizeof(line),
                       "\n%-20s %-14s %6s %-8s %10s %10s %8s %8s %8s "
                       "%6s %5s\n",
@@ -510,7 +599,9 @@ CampaignReport::writeTable(std::ostream &os) const
                       "Goodput", "p50", "p99", "p999", "Rej", "Knee");
         os << line;
         for (const Cell &c : _cells) {
-            if (!c.srvJobs)
+            const unsigned jobs = column(c, "server.jobs").count;
+            const obs::LogHistogram &lat = column(c, "server.latency").hist;
+            if (!jobs)
                 continue;
             std::snprintf(
                 line, sizeof(line),
@@ -520,44 +611,37 @@ CampaignReport::writeTable(std::ostream &os) const
                 c.arrivalRate > 0 ? formatRate(c.arrivalRate).c_str()
                                   : "-",
                 c.retryPolicy.empty() ? "-" : c.retryPolicy.c_str(),
-                c.srvThroughput.mean(), c.srvGoodput.mean(),
-                static_cast<unsigned long long>(c.srvLatency.p50()),
-                static_cast<unsigned long long>(c.srvLatency.p99()),
-                static_cast<unsigned long long>(c.srvLatency.p999()),
-                c.srvRejected.mean(), c.srvKnee, c.srvJobs);
+                column(c, "server.throughput").agg.mean(),
+                column(c, "server.goodput").agg.mean(),
+                static_cast<unsigned long long>(lat.p50()),
+                static_cast<unsigned long long>(lat.p99()),
+                static_cast<unsigned long long>(lat.p999()),
+                column(c, "server.rejected").agg.mean(),
+                column(c, "server.knee").count, jobs);
             os << line;
         }
     }
 
-    bool anyTenants = false;
-    for (const Cell &c : _cells)
-        anyTenants |= c.srvTenantJobs != 0;
-    if (anyTenants) {
+    if (any("tenants.jobs")) {
         std::snprintf(line, sizeof(line),
                       "\n%-20s %-14s %8s %-6s %10s %8s %6s\n", "Preset",
                       "App", "Mix", "Tenant", "Goodput", "p99", "Rej");
         os << line;
         for (const Cell &c : _cells) {
-            if (!c.srvTenantJobs)
+            if (!column(c, "tenants.jobs").count)
                 continue;
-            const char *mix =
-                c.tenantMix.empty() ? "-" : c.tenantMix.c_str();
-            std::snprintf(
-                line, sizeof(line),
-                "%-20s %-14s %8s %-6s %10.4f %8llu %6.0f\n",
-                c.preset.c_str(), c.app.c_str(), mix, "hi",
-                c.srvHiGoodput.mean(),
-                static_cast<unsigned long long>(c.srvHiLatency.p99()),
-                c.srvHiRejected.mean());
-            os << line;
-            std::snprintf(
-                line, sizeof(line),
-                "%-20s %-14s %8s %-6s %10.4f %8llu %6.0f\n",
-                c.preset.c_str(), c.app.c_str(), mix, "lo",
-                c.srvLoGoodput.mean(),
-                static_cast<unsigned long long>(c.srvLoLatency.p99()),
-                c.srvLoRejected.mean());
-            os << line;
+            for (const std::string t : {"hi", "lo"}) {
+                std::snprintf(
+                    line, sizeof(line),
+                    "%-20s %-14s %8s %-6s %10.4f %8llu %6.0f\n",
+                    c.preset.c_str(), c.app.c_str(),
+                    c.tenantMix.empty() ? "-" : c.tenantMix.c_str(),
+                    t.c_str(), column(c, t + ".goodput").agg.mean(),
+                    static_cast<unsigned long long>(
+                        column(c, t + ".latency").hist.p99()),
+                    column(c, t + ".rejected").agg.mean());
+                os << line;
+            }
         }
     }
 

@@ -5,10 +5,11 @@
  *
  * A cell is one (preset, app, cores) point of the grid; its jobs
  * differ only in seed/repetition. Per cell the aggregator reports
- * outcome counts and mean/min/max over the finished jobs for
- * makespan, hardware coverage, every spec-selected counter, and —
- * when the spec names a baseline preset — the speedup against the
- * baseline job with the same (app, cores, seed, rep).
+ * outcome counts and folds each column of one table (aggregate.cc)
+ * over the finished jobs: makespan, hardware coverage, every
+ * spec-selected counter, sync waits, the pressure, server and tenant
+ * blocks, and — when the spec names a baseline preset — the speedup
+ * against the baseline job with the same (app, cores, seed, rep).
  *
  * Report output is deliberately deterministic: cells are emitted in
  * grid order, jobs in id order, and numbers with fixed formatting,
@@ -30,6 +31,10 @@
 #include "orch/job.hh"
 
 namespace misar {
+namespace util {
+struct Json;
+} // namespace util
+
 namespace orch {
 
 /** Mean/min/max/CI accumulator. */
@@ -60,6 +65,48 @@ struct Agg
     double ci95() const;
 };
 
+/** How a column folds its cell's finished jobs. */
+enum class Fold
+{
+    Agg,   ///< mean, ci95, min and max of the values
+    Hist,  ///< the histograms merged bucket-wise (exact percentiles)
+    Count, ///< the jobs whose value is positive
+};
+
+/**
+ * One per-cell column (the table in aggregate.cc): its block ("" for
+ * the top level, "stats", "pressure", "server", "tenants", "hi" or
+ * "lo"), its key there, the run-report members summed into a job's
+ * value, its decimals and its fold. A job whose report lacks the
+ * block contributes nothing; a member missing inside a present block
+ * reads 0.
+ */
+struct Column
+{
+    std::string block, key;
+    std::vector<std::string> members;
+    int decimals;
+    Fold fold;
+};
+
+/**
+ * Fill a record from the job's parsed JSON run report @p doc (a null
+ * @p doc reads as zeros): its resilience summary and one value per
+ * column. Both executors record a job through this one function; the
+ * executor's outcome stays authoritative.
+ */
+void ingestReport(JobRecord &r, const CampaignSpec &spec,
+                  const util::Json &doc);
+
+/** One column folded over a cell's finished jobs, in the member its
+ *  Fold names. */
+struct ColumnFold
+{
+    Agg agg;
+    obs::LogHistogram hist;
+    unsigned count = 0;
+};
+
 /**
  * One (preset, app, cores) cell's aggregated results. Campaigns with
  * a "server" arrival-rate sweep split cells further by rate, so one
@@ -78,43 +125,8 @@ struct Cell
     std::string tenantMix;
     unsigned jobs = 0; ///< grid jobs in this cell (incl. failed)
     std::map<std::string, unsigned> outcomes;
-    Agg makespan, hwCoverage, speedup;
-    std::map<std::string, Agg> counters;
-
-    /**
-     * Per-rep sync-wait histograms merged bucket-wise: identical to
-     * the histogram of the concatenated sample stream, so cell
-     * percentiles are exact over all reps, not averages of per-rep
-     * percentiles.
-     */
-    obs::LogHistogram syncWait;
-
-    /** @name Pressure aggregates over jobs that carried a heatmap
-     *  summary (n == 0 when none did). @{ */
-    Agg overflowEvents, omuEpisodes, omuEpisodeTicks, omuHighWater;
-    Agg maxSliceOccupancy, maxNiQueueDepth;
-    /** @} */
-
-    /** @name Server aggregates over finished jobs that carried a
-     *  report "server" block (srvJobs == 0 when none did). @{ */
-    unsigned srvJobs = 0;
-    unsigned srvKnee = 0; ///< jobs past the saturation knee
-    Agg srvThroughput, srvRejected, srvStranded;
-    /** Per-request latencies of every rep merged bucket-wise, so
-     *  cell tail percentiles are exact over all reps. */
-    obs::LogHistogram srvLatency;
-    /** SLO-era aggregates (schema v4 reports; n == 0 on older
-     *  records, where goodput falls back to throughput). */
-    Agg srvGoodput, srvRejectedSlo, srvRetries;
-    /** @} */
-
-    /** @name Per-tenant aggregates over jobs whose report carried a
-     *  "tenants" array (srvTenantJobs == 0 when none did). @{ */
-    unsigned srvTenantJobs = 0;
-    Agg srvHiGoodput, srvLoGoodput;
-    Agg srvHiRejected, srvLoRejected;
-    obs::LogHistogram srvHiLatency, srvLoLatency;
-    /** @} */
+    /** One fold per report column, in the column table's order. */
+    std::vector<ColumnFold> folds;
 
     /** This cell's records in (seed, rep) grid order. */
     std::vector<const JobRecord *> recs;
@@ -136,6 +148,10 @@ class CampaignReport
                      unsigned cores, double arrivalRate = 0.0,
                      const std::string &retryPolicy = "",
                      const std::string &tenantMix = "") const;
+
+    /** Cell @p c's fold of the column called "key" at the top level
+     *  or "block.key" ("server.latency", "stats.sync.hwOps"). */
+    const ColumnFold &column(const Cell &c, const std::string &name) const;
 
     /**
      * Per-(seed, rep) speedups of @p preset against the spec's
@@ -160,15 +176,11 @@ class CampaignReport
     void writeTable(std::ostream &os) const;
 
   private:
-    const JobRecord *match(const std::string &preset,
-                           const std::string &app, unsigned cores,
-                           double arrivalRate,
-                           const std::string &retryPolicy,
-                           const std::string &tenantMix,
-                           std::uint64_t seed, unsigned rep) const;
+    std::vector<double> speedups(const Cell &c) const;
 
     const CampaignSpec &spec;
     const std::vector<JobRecord> &records;
+    const std::vector<Column> columns;
     std::vector<Cell> _cells;
     std::map<std::string, std::size_t> index; ///< cell key -> _cells
 };

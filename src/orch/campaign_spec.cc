@@ -7,10 +7,10 @@
 #include <limits>
 #include <sstream>
 
-#include "orch/json.hh"
 #include "srv/arrival.hh"
 #include "srv/server_stats.hh"
 #include "system/presets.hh"
+#include "util/json.hh"
 #include "workload/app_catalog.hh"
 
 namespace misar {
@@ -57,7 +57,7 @@ namespace {
  * silently run the whole grid at the default.
  */
 bool
-knownKeys(const Json &o, const char *what,
+knownKeys(const util::Json &o, const char *what,
           std::initializer_list<const char *> known, std::string &err)
 {
     for (const auto &kv : o.obj) {
@@ -92,7 +92,7 @@ typeError(const std::string &ctx, const char *key, const char *type,
 /** @p v as a T, if it is an integer in T's range. */
 template <typename T>
 bool
-asUint(const Json &v, T &out)
+asUint(const util::Json &v, T &out)
 {
     if (!v.isNum() || v.num < 0 || v.num != std::floor(v.num) ||
         v.num >= std::ldexp(1.0, std::numeric_limits<T>::digits))
@@ -103,7 +103,7 @@ asUint(const Json &v, T &out)
 
 template <typename T>
 bool
-readUint(const Json &o, const std::string &ctx, const char *key, T &out,
+readUint(const util::Json &o, const std::string &ctx, const char *key, T &out,
          std::string &err)
 {
     if (o.has(key) && !asUint(o.at(key), out))
@@ -113,12 +113,12 @@ readUint(const Json &o, const std::string &ctx, const char *key, T &out,
 
 template <typename T>
 bool
-readUintList(const Json &o, const std::string &ctx, const char *key,
+readUintList(const util::Json &o, const std::string &ctx, const char *key,
              std::vector<T> &out, std::string &err)
 {
     if (!o.has(key))
         return true;
-    const Json &v = o.at(key);
+    const util::Json &v = o.at(key);
     std::vector<T> list(v.arr.size());
     bool ok = v.isArr();
     for (std::size_t i = 0; ok && i < list.size(); ++i)
@@ -131,7 +131,7 @@ readUintList(const Json &o, const std::string &ctx, const char *key,
 }
 
 bool
-readString(const Json &o, const std::string &ctx, const char *key,
+readString(const util::Json &o, const std::string &ctx, const char *key,
            std::string &out, std::string &err)
 {
     if (!o.has(key))
@@ -143,15 +143,15 @@ readString(const Json &o, const std::string &ctx, const char *key,
 }
 
 bool
-readStringList(const Json &o, const std::string &ctx, const char *key,
+readStringList(const util::Json &o, const std::string &ctx, const char *key,
                std::vector<std::string> &out, std::string &err)
 {
     if (!o.has(key))
         return true;
-    const Json &v = o.at(key);
+    const util::Json &v = o.at(key);
     std::vector<std::string> list;
     bool ok = v.isArr();
-    for (const Json &e : v.arr) {
+    for (const util::Json &e : v.arr) {
         ok = ok && e.isStr();
         list.push_back(e.str);
     }
@@ -162,19 +162,19 @@ readStringList(const Json &o, const std::string &ctx, const char *key,
 }
 
 bool
-readBool(const Json &o, const std::string &ctx, const char *key, bool &out,
-         std::string &err)
+readBool(const util::Json &o, const std::string &ctx, const char *key,
+         bool &out, std::string &err)
 {
     if (!o.has(key))
         return true;
-    if (o.at(key).kind != Json::Bool)
+    if (o.at(key).kind != util::Json::Bool)
         return typeError(ctx, key, "true or false", err);
     out = o.at(key).boolean;
     return true;
 }
 
 bool
-readNumber(const Json &o, const std::string &ctx, const char *key,
+readNumber(const util::Json &o, const std::string &ctx, const char *key,
            double &out, std::string &err)
 {
     if (!o.has(key))
@@ -186,7 +186,7 @@ readNumber(const Json &o, const std::string &ctx, const char *key,
 }
 
 bool
-parsePreset(const Json &j, const std::string &ctx, PresetSpec &p,
+parsePreset(const util::Json &j, const std::string &ctx, PresetSpec &p,
             std::string &err)
 {
     if (j.isStr()) {
@@ -221,7 +221,8 @@ parsePreset(const Json &j, const std::string &ctx, PresetSpec &p,
 }
 
 bool
-parseServer(const Json &o, CampaignSpec::ServerSweep &sv, std::string &err)
+parseServer(const util::Json &o, CampaignSpec::ServerSweep &sv,
+            std::string &err)
 {
     if (!o.isObj()) {
         err = "\"server\" must be an object";
@@ -247,7 +248,7 @@ parseServer(const Json &o, CampaignSpec::ServerSweep &sv, std::string &err)
                   "array of rates";
             return false;
         }
-        for (const Json &j : o.at("arrivalRates").arr) {
+        for (const util::Json &j : o.at("arrivalRates").arr) {
             if (!j.isNum() || j.num <= 0) {
                 err = "\"server.arrivalRates\" entries must be "
                       "positive numbers";
@@ -312,7 +313,7 @@ bool
 CampaignSpec::parse(const std::string &text, CampaignSpec &out,
                     std::string &err)
 {
-    Json root = parseJson(text, &err);
+    util::Json root = util::parseJson(text, &err);
     if (root.isNull() && !err.empty())
         return false;
     if (!root.isObj()) {
@@ -341,7 +342,7 @@ CampaignSpec::parse(const std::string &text, CampaignSpec &out,
         err = "spec needs a non-empty \"presets\" array";
         return false;
     }
-    for (const Json &j : root.at("presets").arr) {
+    for (const util::Json &j : root.at("presets").arr) {
         PresetSpec p;
         const std::string ctx =
             "presets[" + std::to_string(s.presets.size()) + "].";
@@ -350,7 +351,7 @@ CampaignSpec::parse(const std::string &text, CampaignSpec &out,
         s.presets.push_back(std::move(p));
     }
 
-    const Json &apps = root.at("apps");
+    const util::Json &apps = root.at("apps");
     if (apps.isStr()) {
         s.apps = {apps.str}; // "all" / "headline" shorthands
     } else if (!apps.isArr() || apps.arr.empty()) {
@@ -361,7 +362,7 @@ CampaignSpec::parse(const std::string &text, CampaignSpec &out,
     }
 
     if (root.has("obs")) {
-        const Json &o = root.at("obs");
+        const util::Json &o = root.at("obs");
         if (!o.isObj()) {
             err = "\"obs\" must be an object";
             return false;

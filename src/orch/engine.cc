@@ -16,11 +16,12 @@
 #include <sstream>
 #include <thread>
 
+#include "orch/aggregate.hh"
 #include "orch/exit_codes.hh"
-#include "orch/json.hh"
 #include "orch/manifest.hh"
 #include "orch/process_pool.hh"
 #include "sim/logging.hh"
+#include "util/json.hh"
 #include "workload/runner.hh"
 
 namespace misar {
@@ -136,7 +137,7 @@ class StatusWriter
           unsigned retries, unsigned attempts, bool complete)
     {
         std::ostringstream os;
-        JsonWriter w(os);
+        util::JsonWriter w(os);
         w.beginObject();
         w.kv("schemaVersion", 1);
         w.kv("campaign", campaign);
@@ -241,83 +242,6 @@ runJob(const CampaignSpec &spec, const JobSpec &j,
     return workload::runAppWithConfig(run.app, run.cfg, run.flavor, j.seed,
                                       j.preset.name, ro)
         .outcome;
-}
-
-std::uint64_t
-counterOf(const Json &counters, const std::string &name)
-{
-    return counters.at(name).uintOr(0);
-}
-
-/**
- * Fill a record from the job's parsed JSON run report: the one path
- * from a run to its record, for both executors. The executor's
- * outcome stays authoritative (the report of a crashed job says
- * "panic", of a timed-out job whatever its last flush said); the
- * report supplies the simulation-side numbers.
- */
-void
-ingestReport(JobRecord &r, const CampaignSpec &spec, const Json &doc)
-{
-    const Json &meta = doc.at("meta");
-    r.makespan = meta.at("makespan").uintOr(0);
-    r.hwCoverage = meta.at("hwCoverage").numberOr(0.0);
-    const Json &counters = doc.at("stats").at("counters");
-    r.hwOps = counterOf(counters, "sync.hwOps");
-    r.swOps = counterOf(counters, "sync.swOps");
-    r.silentLocks = counterOf(counters, "sync.silentLocks");
-    for (const std::string &s : spec.stats)
-        r.counters[s] = counterOf(counters, s);
-    r.resilience = obs::parseResilience(doc.at("resilience"));
-    // Schema v2 blocks; absent in v1 reports (fields stay zeroed).
-    if (doc.has("latency"))
-        obs::LogHistogram::fromJson(doc.at("latency").at("syncWait"),
-                                    r.syncWait);
-    if (doc.has("heatmap")) {
-        const Json &h = doc.at("heatmap");
-        r.hasPressure = true;
-        r.overflowEvents = h.at("overflowEvents").uintOr(0);
-        r.omuEpisodes = h.at("omuEpisodes").uintOr(0);
-        r.omuEpisodeTicks = h.at("omuEpisodeTicks").uintOr(0);
-        r.omuHighWater = h.at("omuHighWater").uintOr(0);
-        r.maxSliceOccupancy = h.at("maxSliceOccupancy").numberOr(0.0);
-        r.maxNiQueueDepth = h.at("maxNiQueueDepth").numberOr(0.0);
-    }
-    // Schema v3 block; absent in older reports (fields stay zeroed).
-    if (doc.has("server")) {
-        const Json &sv = doc.at("server");
-        r.hasServer = true;
-        r.offeredRate = sv.at("offeredRate").numberOr(0.0);
-        r.srvGenerated = sv.at("generated").uintOr(0);
-        r.srvCompleted = sv.at("completed").uintOr(0);
-        r.srvRejected = sv.at("rejected").uintOr(0);
-        r.srvStranded = sv.at("stranded").uintOr(0);
-        r.srvThroughput = sv.at("throughput").numberOr(0.0);
-        r.srvKnee = sv.at("knee").boolOr(false);
-        obs::LogHistogram::fromJson(sv.at("latency"), r.srvLatency);
-        // Schema v4 extensions; absent in v3 reports (fields stay
-        // zeroed, and goodput falls back to throughput).
-        r.srvRejectedSlo = sv.at("rejectedSlo").uintOr(0);
-        r.srvGoodput = sv.has("goodput")
-                           ? sv.at("goodput").numberOr(0.0)
-                           : r.srvThroughput;
-        if (sv.has("retries"))
-            r.srvRetries = sv.at("retries").at("attempts").uintOr(0);
-        if (sv.has("tenants") && sv.at("tenants").isArr()) {
-            for (const Json &tj : sv.at("tenants").arr) {
-                JobRecord::TenantRecord tr;
-                tr.name = tj.at("name").stringOr("");
-                tr.generated = tj.at("generated").uintOr(0);
-                tr.completed = tj.at("completed").uintOr(0);
-                tr.rejected = tj.at("rejected").uintOr(0) +
-                              tj.at("rejectedSlo").uintOr(0);
-                tr.goodput = tj.at("goodput").numberOr(0.0);
-                obs::LogHistogram::fromJson(tj.at("latency"),
-                                            tr.latency);
-                r.srvTenants.push_back(std::move(tr));
-            }
-        }
-    }
 }
 
 } // namespace
@@ -534,12 +458,11 @@ runCampaign(const CampaignSpec &spec, const EngineOptions &opts,
             r.outcome = jobOutcomeFromName(it->second.outcome);
             const std::string path = opts.outDir + "/" + it->second.report;
             std::string perr;
-            const Json doc = parseJsonFile(path, &perr);
-            if (doc.isObj())
-                ingestReport(r, spec, doc);
-            else if (r.outcome == JobOutcome::Finished)
+            const util::Json doc = util::parseJsonFile(path, &perr);
+            if (!doc.isObj() && r.outcome == JobOutcome::Finished)
                 warn("job %u: unreadable run report %s (%s)", j.id,
                      path.c_str(), perr.c_str());
+            ingestReport(r, spec, doc);
             if (r.outcome != JobOutcome::Finished)
                 r.note =
                     readTail(opts.outDir + "/" + jobLogRelPath(j.id));
@@ -559,7 +482,7 @@ runCampaignInProcess(const CampaignSpec &spec, const InProcessHooks &hooks)
         r.job = j;
         r.outcome = outcomeOfExit(
             exitCodeFor(runJob(spec, j, hooks, &report)));
-        ingestReport(r, spec, parseJson(report));
+        ingestReport(r, spec, util::parseJson(report));
         out.push_back(std::move(r));
     }
     return out;

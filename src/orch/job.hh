@@ -3,10 +3,10 @@
  * A job's three stages, each implemented once: resolveJob() turns a
  * JobSpec into the configuration it runs (misar_sim and the
  * in-process executor both call it), workload::runAppWithConfig()
- * runs it and writes its JSON run report, and the engine fills the
- * JobRecord the aggregator consumes by parsing that report text —
- * read back from disk for a job a forked worker ran, handed over in
- * memory for an in-process one. Both executors therefore
+ * runs it and writes its JSON run report, and ingestReport()
+ * (aggregate.hh) fills the JobRecord the aggregator consumes from that
+ * report text — read back from disk for a job a forked worker ran,
+ * handed over in memory for an in-process one. Both executors therefore
  * run the same code on the same configuration and record the same
  * values, which is what makes parallel campaigns byte-reproducible
  * against the serial harnesses.
@@ -16,8 +16,9 @@
 #define MISAR_ORCH_JOB_HH
 
 #include <cstdint>
-#include <map>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "obs/histogram.hh"
 #include "obs/run_report.hh"
@@ -76,74 +77,34 @@ jobOutcomeRetryable(JobOutcome o)
     return o == JobOutcome::Crash || o == JobOutcome::Timeout;
 }
 
+/** One job's value of one campaign-report column (aggregate.hh). */
+struct ColumnValue
+{
+    /** An Agg or Count column's value; NaN when the job's run report
+     *  lacks the column's block. */
+    double num = std::numeric_limits<double>::quiet_NaN();
+    /** A Hist column's value. */
+    obs::LogHistogram hist;
+};
+
 /** One job's aggregation-ready results. */
 struct JobRecord
 {
     JobSpec job;
     JobOutcome outcome = JobOutcome::Missing;
 
+    /** The "makespan" column's value. */
     Tick makespan = 0;
-    double hwCoverage = 0.0;
-    std::uint64_t hwOps = 0;
-    std::uint64_t swOps = 0;
-    std::uint64_t silentLocks = 0;
 
     /** The run report's "resilience" block. */
     obs::ResilienceSummary resilience;
 
-    /** Spec-selected StatRegistry counters. */
-    std::map<std::string, std::uint64_t> counters;
-
-    /**
-     * Run-level sync-wait distribution (run report "latency" block).
-     * Mergeable across reps; empty when the job's report predates
-     * schema v2 or the profiler did not run.
-     */
+    /** The "syncWait" column's value: the run-level sync-wait
+     *  distribution, empty when the profiler did not run. */
     obs::LogHistogram syncWait;
 
-    /** @name Resource-pressure summary (report "heatmap" block). @{ */
-    /** True when the job's report carried a heatmap summary. */
-    bool hasPressure = false;
-    std::uint64_t overflowEvents = 0;
-    std::uint64_t omuEpisodes = 0;
-    std::uint64_t omuEpisodeTicks = 0;
-    std::uint64_t omuHighWater = 0;
-    double maxSliceOccupancy = 0.0;
-    double maxNiQueueDepth = 0.0;
-    /** @} */
-
-    /** @name Server-run accounting (report "server" block). @{ */
-    /** True when the job's report carried a server block. */
-    bool hasServer = false;
-    double offeredRate = 0.0;
-    std::uint64_t srvGenerated = 0;
-    std::uint64_t srvCompleted = 0;
-    std::uint64_t srvRejected = 0;
-    std::uint64_t srvStranded = 0;
-    double srvThroughput = 0.0;
-    bool srvKnee = false;
-    /** Per-request latency; mergeable across reps like syncWait. */
-    obs::LogHistogram srvLatency;
-    /** Final SLO-admission sheds (schema v4; 0 in older reports). */
-    std::uint64_t srvRejectedSlo = 0;
-    /** Retry attempts beyond first tries (schema v4). */
-    std::uint64_t srvRetries = 0;
-    /** SLO-met completions per kilotick; == srvThroughput when the
-     *  job ran without an SLO (or predates schema v4). */
-    double srvGoodput = 0.0;
-
-    /** Per-tenant slice (schema v4 "tenants"; empty single-tenant). */
-    struct TenantRecord
-    {
-        std::string name;
-        std::uint64_t generated = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t rejected = 0; ///< full-ring + SLO final sheds
-        double goodput = 0.0;
-        obs::LogHistogram latency;
-    };
-    std::vector<TenantRecord> srvTenants;
-    /** @} */
+    /** One value per report column, in the table's order. */
+    std::vector<ColumnValue> values;
 
     /** Failure context (log tail) for non-Finished outcomes. */
     std::string note;

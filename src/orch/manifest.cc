@@ -8,8 +8,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "orch/json.hh"
 #include "sim/logging.hh"
+#include "util/json.hh"
 
 namespace misar {
 namespace orch {
@@ -100,7 +100,7 @@ Manifest::load(const std::string &path, const std::string &campaign,
         if (line.empty())
             continue;
         std::string perr;
-        Json j = parseJson(line, &perr);
+        util::Json j = util::parseJson(line, &perr);
         if (!j.isObj()) {
             // A torn trailing line is expected after a hard kill;
             // anything unparseable mid-file is suspicious but the

@@ -148,9 +148,6 @@ runAppWithConfig(const AppSpec &spec, const SystemConfig &cfg,
     r.swOps = s.stats().counterValue("sync.swOps");
     r.silentLocks = s.stats().counterValue("sync.silentLocks");
     r.resilience = obs::resilienceSummary(s.stats());
-    if (opts.captureCounters)
-        for (const std::string &name : *opts.captureCounters)
-            r.captured[name] = s.stats().counterValue(name);
     if (harness) {
         r.hasServer = true;
         r.server = harness->finalize(r.makespan);

@@ -7,10 +7,8 @@
 #ifndef MISAR_WORKLOAD_RUNNER_HH
 #define MISAR_WORKLOAD_RUNNER_HH
 
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "obs/run_report.hh"
 #include "system/presets.hh"
@@ -35,9 +33,6 @@ struct RunResult
     /** The run report's "resilience" block. */
     obs::ResilienceSummary resilience;
 
-    /** Counters requested via RunOptions::captureCounters. */
-    std::map<std::string, std::uint64_t> captured;
-
     /** @name Server-run accounting (spec.server.enabled only). @{ */
     bool hasServer = false;
     srv::ServerStats server;
@@ -50,8 +45,6 @@ struct RunOptions
 {
     /** Simulated-tick budget handed to System::runDetailed. */
     Tick tickLimit = 2000000000ULL;
-    /** StatRegistry counters copied into RunResult::captured. */
-    const std::vector<std::string> *captureCounters = nullptr;
     /** When set, receives the finished System (registry, profiler)
      *  for reporting after the run; only for reading, since the
      *  run's sync library and workload are gone. */

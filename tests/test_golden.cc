@@ -24,6 +24,11 @@
  *    requests per kilotick (noc, core, L1, LLC, MSA slice,
  *    sync.<INSTR>.hw|sw, srv.*), and raytrace on the pthread
  *    baseline (atomics and crossed snoops, no MSA).
+ *  - CampaignReportDigest: report.json, report.csv and report.txt of
+ *    three in-process campaigns that between them reach every cell
+ *    block: spec stats (one counter absent from the runs), baseline
+ *    speedups and heatmap pressure; a server arrival-rate x
+ *    retry-policy sweep under an SLO; and a tenant-mix sweep.
  */
 
 #include <gtest/gtest.h>
@@ -32,8 +37,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "noc/mesh.hh"
+#include "orch/aggregate.hh"
+#include "orch/engine.hh"
 #include "orch/job.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
@@ -49,6 +57,7 @@ constexpr std::uint64_t nocTraceDigest = 0x0ab5cf903513d8bcULL;
 constexpr std::uint64_t faultedRegistryDigest = 0x66e7b55d6da2d48cULL;
 constexpr std::uint64_t serverRegistryDigest = 0xd7cfdc2adfe3fbf7ULL;
 constexpr std::uint64_t raytraceRegistryDigest = 0x9e04db7becef0edaULL;
+constexpr std::uint64_t campaignReportDigest = 0x475ac7e4f7d5a65eULL;
 /** @} */
 
 constexpr std::uint64_t fnvBasis = 0xcbf29ce484222325ULL;
@@ -205,6 +214,59 @@ TEST(Golden, HotCounterRegistryDigests)
     EXPECT_EQ(r.sumCounters("sync.hwOps"), 0u);
     const std::uint64_t hr = registryDigest(r);
     EXPECT_EQ(hr, raytraceRegistryDigest) << std::hex << "digest 0x" << hr;
+}
+
+/** Campaigns whose reports reach every cell block. */
+const char *const reportGrids[] = {
+    R"({"name": "stats-pressure",
+        "presets": [{"name": "Base", "config": "baseline"},
+                    {"name": "MSA", "config": "msa-omu", "entries": 2}],
+        "apps": ["fft"], "cores": [16], "seeds": [1, 2],
+        "baseline": "Base",
+        "stats": ["sync.hwOps", "resil.coreKills"],
+        "obs": {"sampleInterval": 10000, "heatmap": true}})",
+    R"({"name": "rates-policies",
+        "presets": [{"name": "msa-omu", "config": "msa-omu",
+                     "entries": 16}],
+        "apps": ["server-poisson"], "cores": [16], "seeds": [1, 2],
+        "server": {"arrivalRates": [4, 8],
+                   "retryPolicies": ["none", "budgeted"],
+                   "slo": 20000, "queueCap": 32,
+                   "retryBudget": 0.2}})",
+    R"({"name": "tenants",
+        "presets": [{"name": "msa-omu", "config": "msa-omu",
+                     "entries": 16}],
+        "apps": ["server-poisson"], "cores": [16], "seeds": [1, 2],
+        "server": {"tenantMixes": ["2:2", "2:6"], "slo": 20000}})",
+};
+
+TEST(Golden, CampaignReportDigest)
+{
+    std::uint64_t h = fnvBasis;
+    std::string json;
+    for (const char *text : reportGrids) {
+        orch::CampaignSpec spec;
+        std::string err;
+        ASSERT_TRUE(orch::CampaignSpec::parse(text, spec, err)) << err;
+        ASSERT_EQ(spec.validate(), "");
+        const std::vector<orch::JobRecord> records =
+            orch::runCampaignInProcess(spec);
+        const orch::CampaignReport report(spec, records);
+        std::ostringstream j, c, t;
+        report.writeJson(j);
+        report.writeCsv(c);
+        report.writeTable(t);
+        for (const std::string &s : {j.str(), c.str(), t.str()})
+            for (char ch : s)
+                fnvByte(h, static_cast<unsigned char>(ch));
+        json += j.str();
+    }
+    // The blocks this digest pins must stay reached.
+    for (const char *block : {"\"speedup\"", "\"stats\"", "\"syncWait\"",
+                              "\"pressure\"", "\"server\"",
+                              "\"tenants\""})
+        EXPECT_NE(json.find(block), std::string::npos) << block;
+    EXPECT_EQ(h, campaignReportDigest) << std::hex << "digest 0x" << h;
 }
 
 } // namespace

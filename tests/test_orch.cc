@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -28,11 +29,11 @@
 #include "orch/campaign_spec.hh"
 #include "orch/engine.hh"
 #include "orch/exit_codes.hh"
-#include "orch/json.hh"
 #include "orch/manifest.hh"
 #include "orch/process_pool.hh"
 #include "sim/logging.hh"
 #include "system/presets.hh"
+#include "util/json.hh"
 #include "workload/app_catalog.hh"
 #include "workload/runner.hh"
 
@@ -90,7 +91,7 @@ smokeSpec()
 TEST(OrchJson, ParsesScalarsArraysObjects)
 {
     std::string err;
-    Json j = parseJson(
+    util::Json j = util::parseJson(
         R"({"a": 1.5, "b": [true, null, "x\n\"y\""], "n": -3})", &err);
     ASSERT_TRUE(j.isObj()) << err;
     EXPECT_DOUBLE_EQ(j.at("a").numberOr(0), 1.5);
@@ -105,25 +106,25 @@ TEST(OrchJson, ParsesScalarsArraysObjects)
 
 TEST(OrchJson, DecodesUnicodeEscapes)
 {
-    Json j = parseJson(R"({"s": "Aé"})");
+    util::Json j = util::parseJson(R"({"s": "Aé"})");
     EXPECT_EQ(j.at("s").stringOr(""), "A\xc3\xa9");
 }
 
 TEST(OrchJson, ReportsErrorsWithOffset)
 {
     std::string err;
-    Json j = parseJson("{\"a\": }", &err);
+    util::Json j = util::parseJson("{\"a\": }", &err);
     EXPECT_TRUE(j.isNull());
     EXPECT_NE(err.find("offset"), std::string::npos);
 
     err.clear();
-    parseJson("{\"a\": 1} trailing", &err);
+    util::parseJson("{\"a\": 1} trailing", &err);
     EXPECT_FALSE(err.empty());
 }
 
 TEST(OrchJson, UintOrRejectsNegativesAndNonNumbers)
 {
-    Json j = parseJson(R"({"neg": -5, "s": "x"})");
+    util::Json j = util::parseJson(R"({"neg": -5, "s": "x"})");
     EXPECT_EQ(j.at("neg").uintOr(7), 7u);
     EXPECT_EQ(j.at("s").uintOr(7), 7u);
     EXPECT_EQ(j.at("absent").uintOr(9), 9u);
@@ -515,17 +516,14 @@ TEST(OrchRunReport, ResultRoundTripsThroughJson)
     cfg.obs.statsJsonPath = path;
     cfg.validate();
 
-    workload::RunOptions opts;
-    std::vector<std::string> capture = {"sync.hwOps", "noc.packetsSent"};
-    opts.captureCounters = &capture;
     workload::RunResult r = workload::runAppWithConfig(
-        workload::appByName("fft"), cfg, fl, 1, "msa-omu-faults", opts);
+        workload::appByName("fft"), cfg, fl, 1, "msa-omu-faults");
     ASSERT_TRUE(r.finished);
 
     std::string err;
-    Json doc = parseJsonFile(path, &err);
+    util::Json doc = util::parseJsonFile(path, &err);
     ASSERT_TRUE(doc.isObj()) << err;
-    const Json &meta = doc.at("meta");
+    const util::Json &meta = doc.at("meta");
     EXPECT_EQ(meta.at("outcome").stringOr(""),
               sys::runOutcomeName(r.outcome));
     EXPECT_EQ(meta.at("makespan").uintOr(0), r.makespan);
@@ -535,7 +533,7 @@ TEST(OrchRunReport, ResultRoundTripsThroughJson)
 
     // The report's block and the run's summary hold the same keys
     // and values, and parse back to the same summary.
-    const Json &resil = doc.at("resilience");
+    const util::Json &resil = doc.at("resilience");
     EXPECT_EQ(resil.obj.size(), r.resilience.values.size());
     for (const auto &[key, v] : r.resilience.values)
         EXPECT_EQ(resil.at(key).uintOr(99), v) << key;
@@ -546,11 +544,8 @@ TEST(OrchRunReport, ResultRoundTripsThroughJson)
                   r.resilience["offlineSheds"],
               0u);
 
-    const Json &counters = doc.at("stats").at("counters");
+    const util::Json &counters = doc.at("stats").at("counters");
     EXPECT_EQ(counters.at("sync.hwOps").uintOr(0), r.hwOps);
-    EXPECT_EQ(r.captured.at("sync.hwOps"), r.hwOps);
-    EXPECT_EQ(counters.at("noc.packetsSent").uintOr(0),
-              r.captured.at("noc.packetsSent"));
 }
 
 TEST(OrchRunReportDeathTest, FatalStillWritesDurableReport)
@@ -572,7 +567,7 @@ TEST(OrchRunReportDeathTest, FatalStillWritesDurableReport)
         },
         ::testing::ExitedWithCode(1), "boom");
     std::string err;
-    Json doc = parseJsonFile(path, &err);
+    util::Json doc = util::parseJsonFile(path, &err);
     ASSERT_TRUE(doc.isObj()) << err;
     EXPECT_EQ(doc.at("meta").at("outcome").stringOr(""), "fatal");
 }
@@ -595,7 +590,7 @@ TEST(OrchRunReportDeathTest, PanicStillWritesDurableReport)
             panic("invariant");
         },
         ::testing::KilledBySignal(SIGABRT), "invariant");
-    Json doc = parseJsonFile(path);
+    util::Json doc = util::parseJsonFile(path);
     ASSERT_TRUE(doc.isObj());
     EXPECT_EQ(doc.at("meta").at("outcome").stringOr(""), "panic");
 }
@@ -706,10 +701,10 @@ TEST(OrchEngine, InProcessRunsAreDeterministic)
     ASSERT_EQ(sp.size(), 2u);
     for (double s : sp)
         EXPECT_GT(s, 0.5);
-    // Captured counters flowed into the cell aggregation.
+    // The spec's stats counters flowed into the cell aggregation.
     const Cell *cell = rep.cell("MSA", "fft", 16);
     ASSERT_NE(cell, nullptr);
-    EXPECT_GT(cell->counters.at("sync.hwOps").mean(), 0.0);
+    EXPECT_GT(rep.column(*cell, "stats.sync.hwOps").agg.mean(), 0.0);
 }
 
 TEST(OrchEngine, SubprocessMatchesInProcessAndResumes)
@@ -736,8 +731,6 @@ TEST(OrchEngine, SubprocessMatchesInProcessAndResumes)
     for (std::size_t i = 0; i < sub.size(); ++i) {
         EXPECT_EQ(sub[i].outcome, JobOutcome::Finished);
         EXPECT_EQ(sub[i].makespan, inproc[i].makespan) << i;
-        EXPECT_EQ(sub[i].hwOps, inproc[i].hwOps) << i;
-        EXPECT_EQ(sub[i].counters, inproc[i].counters) << i;
     }
     std::ostringstream jsub, jin;
     CampaignReport(spec, sub).writeJson(jsub);
@@ -921,10 +914,131 @@ TEST(OrchEngine, ClassifiesTickLimitFromExitCode)
 
     // The simulator still flushed a report before the nonzero exit;
     // its outcome field carries the truncation through.
-    Json doc = parseJsonFile(dir + "/" + jobReportRelPath(0), &err);
+    util::Json doc =
+        util::parseJsonFile(dir + "/" + jobReportRelPath(0), &err);
     ASSERT_TRUE(doc.isObj()) << err;
     EXPECT_EQ(doc.at("meta").at("outcome").stringOr(""),
               "limit-reached");
+}
+
+// --------------------------------------------------------------- report
+
+namespace {
+
+/** RFC 4180 text as rows of fields. */
+std::vector<std::vector<std::string>>
+parseCsv(const std::string &text)
+{
+    std::vector<std::vector<std::string>> rows(1, {""});
+    bool quoted = false;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const char ch = text[i];
+        std::string &field = rows.back().back();
+        if (quoted && ch == '"' && i + 1 < text.size() && text[i + 1] == '"')
+            field += text[i++];
+        else if (ch == '"')
+            quoted = !quoted;
+        else if (quoted || (ch != ',' && ch != '\n'))
+            field += ch;
+        else if (ch == ',')
+            rows.back().emplace_back();
+        else
+            rows.push_back({""});
+    }
+    rows.pop_back(); // after the final line break
+    return rows;
+}
+
+} // namespace
+
+TEST(OrchReport, CsvQuotesFieldsThatNeedIt)
+{
+    // Preset names and stats counters come straight from the spec.
+    CampaignSpec spec;
+    std::string err;
+    ASSERT_TRUE(CampaignSpec::parse(
+        R"({"name": "q",
+            "presets": [
+                {"name": "MSA, 2 entries", "config": "msa-omu",
+                 "entries": 2},
+                {"name": "say \"hi\"\nthere", "config": "baseline"}
+            ],
+            "apps": ["fft"], "cores": [16],
+            "stats": ["odd,counter"]})",
+        spec, err))
+        << err;
+    ASSERT_EQ(spec.validate(), "");
+    std::vector<JobRecord> records; // jobs that never ran
+    for (const JobSpec &j : spec.expand()) {
+        records.emplace_back();
+        records.back().job = j;
+    }
+    std::ostringstream os;
+    CampaignReport(spec, records).writeCsv(os);
+
+    const auto rows = parseCsv(os.str());
+    ASSERT_EQ(rows.size(), 3u) << os.str();
+    for (const auto &row : rows)
+        EXPECT_EQ(row.size(), rows[0].size()) << os.str();
+    EXPECT_EQ(rows[0][0], "preset");
+    EXPECT_NE(std::find(rows[0].begin(), rows[0].end(), "odd,counter_mean"),
+              rows[0].end());
+    EXPECT_EQ(rows[1][0], "MSA, 2 entries");
+    EXPECT_EQ(rows[2][0], "say \"hi\"\nthere");
+    EXPECT_EQ(rows[2][1], "fft");
+}
+
+TEST(OrchReport, ColumnsReadOnlyTheBlocksAReportHas)
+{
+    // Two finished jobs of one cell. The first report has a server
+    // block without "goodput" or "retries" and a lone "hi" tenant;
+    // the second has neither, nor a hardware coverage.
+    CampaignSpec spec;
+    std::string err;
+    ASSERT_TRUE(CampaignSpec::parse(
+        R"({"name": "c",
+            "presets": [{"name": "MSA", "config": "msa-omu"}],
+            "apps": ["fft"], "cores": [16], "seeds": [1, 2],
+            "stats": ["sync.hwOps"]})",
+        spec, err))
+        << err;
+    ASSERT_EQ(spec.validate(), "");
+    const char *const reports[] = {
+        R"({"meta": {"makespan": 100, "hwCoverage": 0.5},
+            "stats": {"counters": {"sync.hwOps": 7}},
+            "server": {"throughput": 2.5, "knee": true,
+                       "tenants": [{"name": "hi", "goodput": 1.5,
+                                    "rejected": 2, "rejectedSlo": 3}]}})",
+        R"({"meta": {"makespan": 300}, "stats": {"counters": {}}})",
+    };
+    std::vector<JobRecord> records;
+    for (const JobSpec &j : spec.expand()) {
+        records.emplace_back();
+        records.back().job = j;
+        records.back().outcome = JobOutcome::Finished;
+        ingestReport(records.back(), spec,
+                     util::parseJson(reports[records.size() - 1]));
+    }
+    EXPECT_EQ(records[1].makespan, 300u);
+
+    const CampaignReport rep(spec, records);
+    ASSERT_EQ(rep.cells().size(), 1u);
+    const Cell &c = rep.cells()[0];
+    // Keys missing from a block the report has read 0.
+    EXPECT_EQ(rep.column(c, "makespan").agg.mean(), 200.0);
+    EXPECT_EQ(rep.column(c, "hwCoverage").agg.n, 2u);
+    EXPECT_EQ(rep.column(c, "hwCoverage").agg.mean(), 0.25);
+    EXPECT_EQ(rep.column(c, "stats.sync.hwOps").agg.mean(), 3.5);
+    EXPECT_EQ(rep.column(c, "server.goodput").agg.mean(), 0.0);
+    EXPECT_EQ(rep.column(c, "server.retries").agg.n, 1u);
+    // Blocks count only the jobs whose report has them.
+    EXPECT_EQ(rep.column(c, "pressure.jobs").count, 0u);
+    EXPECT_EQ(rep.column(c, "server.jobs").count, 1u);
+    EXPECT_EQ(rep.column(c, "server.knee").count, 1u);
+    EXPECT_EQ(rep.column(c, "server.throughput").agg.n, 1u);
+    EXPECT_EQ(rep.column(c, "tenants.jobs").count, 1u);
+    EXPECT_EQ(rep.column(c, "hi.rejected").agg.mean(), 5.0);
+    EXPECT_EQ(rep.column(c, "lo.goodput").agg.n, 0u);
 }
 
 // ------------------------------------------------------------------ cli
