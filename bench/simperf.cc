@@ -25,25 +25,13 @@
  *                              wall time of the reps on each side;
  *                              exit 1 when the overhead exceeds
  *                              --tolerance (default 3% in this mode)
- *   simperf --threads-gate X   minimum msa64 speedup at 4 host
- *                              threads vs --threads 1 (default 1.8;
- *                              0 disables). Skipped automatically on
- *                              hosts with fewer than 4 hardware
- *                              threads, where the target is
- *                              unreachable by construction.
- *
- * Besides the serial preset matrix, every full/smoke run sweeps the
- * PDES kernel (`--threads` 1/2/4) over msa64 and the scale-study
- * msa256 preset and records a "threaded" section with per-row
- * speedups vs the threads-1 row. The serial rows stay the CI
- * regression gate (--check ignores the threaded section: host-thread
- * availability varies across machines, so cross-run speedup
- * comparisons are not apples-to-apples).
  *
  * The checked-in BENCH_simperf.json holds "full" and "smoke"
  * sections measured on the reference machine plus a "before" section
  * with the pre-calendar-queue kernel numbers; CI runs
- * `simperf --smoke --check BENCH_simperf.json`.
+ * `simperf --smoke --check BENCH_simperf.json`. Its "threaded"
+ * sections record the parallel kernel that has since been removed;
+ * --check reads only the serial preset rows.
  */
 
 #include <sys/resource.h>
@@ -51,11 +39,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -131,7 +117,7 @@ runPreset(const Preset &p, unsigned scale, unsigned reps)
             fatal("simperf: %s rep %u did not finish", p.name, r);
         res.wallSec += std::chrono::duration<double>(t1 - t0).count();
         res.ticks += s.eventQueue().now();
-        res.pool = s.eventStats(); // last rep's counters
+        res.pool = s.eventQueue().poolStats(); // last rep's counters
         res.events += res.pool.executed;
     }
     struct rusage ru;
@@ -140,115 +126,9 @@ runPreset(const Preset &p, unsigned scale, unsigned reps)
     return res;
 }
 
-/** One (preset, --threads N) row of the PDES sweep. */
-struct ThreadedResult
-{
-    std::string name;
-    unsigned cores = 0;
-    unsigned threads = 0;
-    unsigned scale = 0;
-    std::uint64_t ticks = 0;   ///< simulated ticks of the best rep
-    std::uint64_t events = 0;  ///< executed events of the best rep
-    double wallSec = 0.0;      ///< best (smallest) rep wall time
-    double speedup = 0.0;      ///< threads-1 row wallSec / this wallSec
-};
-
-/**
- * Configuration for one sweep target. msa64 is the serial matrix's
- * MSA/OMU-2 @ 64; msa256 is the scale-study CLI preset (it pins its
- * own core count and NoC sizing).
- */
-bool
-sweepConfig(const std::string &name, SystemConfig &cfg,
-            sync::SyncLib::Flavor &flavor)
-{
-    if (name == "msa64") {
-        cfg = sys::configFor(sys::PaperConfig::MsaOmu2, 64);
-        flavor = sys::flavorFor(sys::PaperConfig::MsaOmu2);
-        return true;
-    }
-    return sys::cliPresetFor(name, 0, 2, cfg, flavor);
-}
-
-ThreadedResult
-runThreaded(const char *name, unsigned threads, unsigned scale,
-            unsigned reps)
-{
-    SystemConfig base;
-    sync::SyncLib::Flavor flavor = sync::SyncLib::Flavor::Hw;
-    if (!sweepConfig(name, base, flavor))
-        fatal("simperf: unknown sweep preset %s", name);
-    base.simThreads = threads;
-
-    AppSpec spec = appByName("radiosity");
-    spec.iters *= scale;
-
-    ThreadedResult res;
-    res.name = name;
-    res.cores = base.numCores;
-    res.threads = threads;
-    res.scale = scale;
-    for (unsigned r = 0; r < reps; ++r) {
-        SystemConfig cfg = base;
-        sys::System s(cfg);
-        sync::SyncLib lib(flavor, cfg.numCores);
-        AppLayout layout;
-        for (CoreId c = 0; c < cfg.numCores; ++c)
-            s.start(c, appThread(s.api(c), spec, layout, &lib,
-                                 cfg.numCores, 1));
-        auto t0 = std::chrono::steady_clock::now();
-        auto out = s.runDetailed(tickLimit);
-        auto t1 = std::chrono::steady_clock::now();
-        if (out != sys::RunOutcome::Finished)
-            fatal("simperf: %s --threads %u rep %u did not finish", name,
-                  threads, r);
-        double w = std::chrono::duration<double>(t1 - t0).count();
-        if (r == 0 || w < res.wallSec) {
-            res.wallSec = w;
-            res.ticks = s.eventQueue().now();
-            res.events = s.eventStats().executed;
-        }
-    }
-    return res;
-}
-
-/**
- * The `--threads` 1/2/4 sweep over msa64 and msa256. Best-of-reps
- * wall times (host noise would otherwise dominate the speedup
- * ratios); msa256 runs at half scale to bound the bench's wall time
- * — speedups are ratios within a row group, so the scales need not
- * match across presets.
- */
-std::vector<ThreadedResult>
-runThreadsSweep(unsigned scale, unsigned reps)
-{
-    const char *targets[] = {"msa64", "msa256"};
-    const unsigned counts[] = {1, 2, 4};
-    std::vector<ThreadedResult> rows;
-    for (const char *t : targets) {
-        const unsigned s =
-            std::strcmp(t, "msa256") == 0 ? std::max(1u, scale / 2) : scale;
-        double base_wall = 0.0;
-        for (unsigned n : counts) {
-            ThreadedResult r = runThreaded(t, n, s, reps);
-            if (n == 1)
-                base_wall = r.wallSec;
-            r.speedup = r.wallSec > 0.0 ? base_wall / r.wallSec : 0.0;
-            std::printf("%-8s --threads %u  ticks/s=%-9llu wall=%.3fs "
-                        "speedup=%.2fx\n",
-                        r.name.c_str(), r.threads,
-                        (unsigned long long)(r.ticks / r.wallSec), r.wallSec,
-                        r.speedup);
-            rows.push_back(std::move(r));
-        }
-    }
-    return rows;
-}
-
 void
 writeJson(std::ostream &os, const char *mode, unsigned scale, unsigned reps,
-          const std::vector<Result> &results,
-          const std::vector<ThreadedResult> &threaded)
+          const std::vector<Result> &results)
 {
     os << "{\"schemaVersion\":1,\"generator\":\"bench/simperf\","
        << "\"kernel\":\"calendar-queue\",\"mode\":\"" << mode << "\","
@@ -272,25 +152,7 @@ writeJson(std::ostream &os, const char *mode, unsigned scale, unsigned reps,
            << ",\"scheduled\":" << r.pool.scheduled
            << ",\"maxPending\":" << r.pool.maxPending << "}}";
     }
-    os << "\n]";
-    if (!threaded.empty()) {
-        os << ",\"threaded\":{\"workload\":\"radiosity\",\"hostThreads\":"
-           << std::thread::hardware_concurrency() << ",\"rows\":[";
-        first = true;
-        for (const ThreadedResult &r : threaded) {
-            if (!first)
-                os << ",";
-            first = false;
-            os << "\n  {\"name\":\"" << r.name << "\",\"cores\":" << r.cores
-               << ",\"threads\":" << r.threads << ",\"scale\":" << r.scale
-               << ",\"ticks\":" << r.ticks << ",\"events\":" << r.events
-               << ",\"wallSec\":" << r.wallSec
-               << ",\"ticksPerSec\":" << std::uint64_t(r.ticks / r.wallSec)
-               << ",\"speedup\":" << r.speedup << "}";
-        }
-        os << "\n]}";
-    }
-    os << "}}\n";
+    os << "\n]}}\n";
 }
 
 /**
@@ -393,7 +255,6 @@ main(int argc, char **argv)
     std::string check_path;
     double tolerance = 0.15;
     bool tolerance_set = false;
-    double threads_gate = 1.8;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--smoke") {
@@ -407,13 +268,10 @@ main(int argc, char **argv)
         } else if (a == "--tolerance" && i + 1 < argc) {
             tolerance = std::atof(argv[++i]);
             tolerance_set = true;
-        } else if (a == "--threads-gate" && i + 1 < argc) {
-            threads_gate = std::atof(argv[++i]);
         } else {
             std::fprintf(stderr,
                          "usage: simperf [--smoke] [--obs-overhead] "
-                         "[--out FILE] [--check FILE] [--tolerance X] "
-                         "[--threads-gate X]\n");
+                         "[--out FILE] [--check FILE] [--tolerance X]\n");
             return 2;
         }
     }
@@ -437,53 +295,16 @@ main(int argc, char **argv)
         results.push_back(std::move(r));
     }
 
-    // PDES sweep: msa64 and msa256 at --threads 1/2/4. The msa256
-    // threads-4 row doubles as the scale-study smoke gate — it must
-    // complete at all.
-    std::vector<ThreadedResult> threaded =
-        runThreadsSweep(scale, smoke ? 1 : 2);
-
     if (!out_path.empty()) {
         std::ofstream f(out_path);
         if (!f)
             fatal("simperf: cannot open %s", out_path.c_str());
-        writeJson(f, mode, scale, reps, results, threaded);
+        writeJson(f, mode, scale, reps, results);
         std::printf("wrote %s\n", out_path.c_str());
     }
 
-    // Both gates are evaluated and reported before the exit code is
-    // decided, so a failing threads gate never hides a serial
-    // throughput regression (or the other way round).
-    int failures = 0;
-
-    // The speedup gate: msa64 at 4 threads must beat --threads 1 by
-    // the configured factor. Only meaningful where 4 host threads can
-    // actually run in parallel.
-    const unsigned host_threads = std::thread::hardware_concurrency();
-    if (threads_gate > 0.0 && host_threads >= 4) {
-        for (const ThreadedResult &r : threaded) {
-            if (r.name != "msa64" || r.threads != 4)
-                continue;
-            const bool ok = r.speedup >= threads_gate;
-            std::printf("threads-gate msa64 %.2fx %s %.2fx  %s\n",
-                        r.speedup, ok ? ">=" : "<", threads_gate,
-                        ok ? "ok" : "FAILED");
-            if (!ok) {
-                std::fprintf(stderr,
-                             "simperf: msa64 --threads 4 speedup %.2fx "
-                             "below the %.2fx gate\n",
-                             r.speedup, threads_gate);
-                ++failures;
-            }
-        }
-    } else if (threads_gate > 0.0) {
-        std::printf("threads-gate skipped: host has %u hardware "
-                    "thread(s), need 4\n",
-                    host_threads);
-    }
-
     if (check_path.empty())
-        return failures ? 1 : 0;
+        return 0;
 
     std::ifstream bf(check_path);
     if (!bf)
@@ -513,7 +334,7 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "simperf: %d preset(s) regressed more than %.0f%%\n",
                      regressed, tolerance * 100.0);
-        ++failures;
+        return 1;
     }
-    return failures ? 1 : 0;
+    return 0;
 }

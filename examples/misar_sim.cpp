@@ -68,11 +68,6 @@ usage()
         "                  (default msa-omu)\n"
         "  --entries N     MSA entries per tile (default 2)\n"
         "  --smt N         hardware threads per core (default 1)\n"
-        "  --threads N     host worker threads for the simulation\n"
-        "                  kernel (default 1 = serial; N > 1 runs the\n"
-        "                  conservative PDES scheme — any N yields the\n"
-        "                  same trajectory and statistics, and N = 1 is\n"
-        "                  bit-identical to the serial kernel)\n"
         "  --no-hwsync     disable the HWSync-bit optimization\n"
         "  --no-omu        disable the OMU (entries never freed)\n"
         "  --seed N        workload seed (default 1)\n"
@@ -194,8 +189,6 @@ main(int argc, char **argv)
                                                   /*allow_zero=*/true);
         } else if (a == "--smt") {
             job.preset.smt = parseUnsignedArg("--smt", next());
-        } else if (a == "--threads") {
-            job.preset.threads = parseUnsignedArg("--threads", next());
         } else if (a == "--no-hwsync") {
             job.preset.hwsync = false;
         } else if (a == "--no-omu") {
@@ -377,12 +370,8 @@ main(int argc, char **argv)
     cfg.obs.traceEnabled = !trace_path.empty();
     cfg.obs.traceOutPath = trace_path;
     // --stats-json implies the profiler so the report carries the
-    // syncVars section — but the profiler is serial-only, so threaded
-    // runs only get it on explicit request (and then fail validation
-    // with the real reason instead of silently dropping it).
-    cfg.obs.profileSync =
-        profile_sync ||
-        (!stats_json_path.empty() && job.preset.threads == 1);
+    // syncVars section.
+    cfg.obs.profileSync = profile_sync || !stats_json_path.empty();
     cfg.obs.profileTopN = top_n;
     cfg.obs.sampleInterval = sample_interval;
     cfg.obs.sampleCsvPath = sample_csv_path;

@@ -6,23 +6,12 @@
  * single global word-addressed store. Operations are applied at the
  * point a transaction completes, which the blocking directory
  * serializes per block, so values are always coherent.
- *
- * Thread safety: under the parallel kernel, partitions apply
- * operations to *different* words concurrently (same-word accesses
- * are still serialized by the directory, in simulated time). The
- * store is sharded by word address and, once enableLocking() is
- * called, each shard is mutex-guarded — commuting operations on
- * distinct words make the result independent of lock acquisition
- * order, so this does not perturb determinism. Serial runs never
- * touch the mutexes.
  */
 
 #ifndef MISAR_MEM_FUNCTIONAL_MEM_HH
 #define MISAR_MEM_FUNCTIONAL_MEM_HH
 
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 
 #include "sim/types.hh"
@@ -46,66 +35,18 @@ class FunctionalMem
     std::uint64_t
     read(Addr a) const
     {
-        const Shard &s = shardOf(a);
-        if (!locking) {
-            auto it = s.words.find(wordAlign(a));
-            return it == s.words.end() ? 0 : it->second;
-        }
-        std::lock_guard<std::mutex> g(s.mtx);
-        auto it = s.words.find(wordAlign(a));
-        return it == s.words.end() ? 0 : it->second;
+        auto it = words.find(wordAlign(a));
+        return it == words.end() ? 0 : it->second;
     }
 
-    void
-    write(Addr a, std::uint64_t v)
-    {
-        Shard &s = shardOf(a);
-        if (!locking) {
-            s.words[wordAlign(a)] = v;
-            return;
-        }
-        std::lock_guard<std::mutex> g(s.mtx);
-        s.words[wordAlign(a)] = v;
-    }
+    void write(Addr a, std::uint64_t v) { words[wordAlign(a)] = v; }
 
     /** Apply @p op atomically; @return the old value. */
     std::uint64_t
     atomic(Addr a, AtomicOp op, std::uint64_t operand,
            std::uint64_t operand2 = 0)
     {
-        Shard &s = shardOf(a);
-        if (!locking)
-            return applyAtomic(s, a, op, operand, operand2);
-        std::lock_guard<std::mutex> g(s.mtx);
-        return applyAtomic(s, a, op, operand, operand2);
-    }
-
-    /** Arm shard mutexes for a multi-threaded (PDES) run. */
-    void enableLocking() { locking = true; }
-
-  private:
-    static constexpr std::size_t numShards = 64;
-
-    struct Shard
-    {
-        std::unordered_map<Addr, std::uint64_t> words;
-        mutable std::mutex mtx;
-    };
-
-    static Addr wordAlign(Addr a) { return a & ~static_cast<Addr>(7); }
-
-    Shard &shardOf(Addr a) { return shards[(a >> 3) % numShards]; }
-    const Shard &
-    shardOf(Addr a) const
-    {
-        return shards[(a >> 3) % numShards];
-    }
-
-    static std::uint64_t
-    applyAtomic(Shard &s, Addr a, AtomicOp op, std::uint64_t operand,
-                std::uint64_t operand2)
-    {
-        std::uint64_t &w = s.words[wordAlign(a)];
+        std::uint64_t &w = words[wordAlign(a)];
         std::uint64_t old = w;
         switch (op) {
           case AtomicOp::TestAndSet:
@@ -125,8 +66,10 @@ class FunctionalMem
         return old;
     }
 
-    std::array<Shard, numShards> shards;
-    bool locking = false;
+  private:
+    static Addr wordAlign(Addr a) { return a & ~static_cast<Addr>(7); }
+
+    std::unordered_map<Addr, std::uint64_t> words;
 };
 
 } // namespace mem

@@ -6,11 +6,10 @@ namespace misar {
 namespace mem {
 
 MemSystem::MemSystem(EventQueue &eq, const SystemConfig &cfg,
-                     StatRegistry &stats, const TileRuntime &rt)
+                     StatRegistry &stats)
 {
     const unsigned n = cfg.numCores;
-    _mesh = std::make_unique<noc::Mesh>(eq, cfg.noc, cfg.meshDim(), stats,
-                                        rt);
+    _mesh = std::make_unique<noc::Mesh>(eq, cfg.noc, cfg.meshDim(), stats);
 
     auto send_fn = [this](std::shared_ptr<MemMsg> m) {
         _mesh->send(std::move(m));
@@ -19,13 +18,11 @@ MemSystem::MemSystem(EventQueue &eq, const SystemConfig &cfg,
     l1s.reserve(n);
     homes.reserve(n);
     for (CoreId c = 0; c < n; ++c) {
-        EventQueue &teq = rt.eqFor(c, eq);
-        StatRegistry &tst = rt.statsFor(c, stats);
-        l1s.push_back(std::make_unique<L1Cache>(teq, cfg.mem, c, n, _fmem,
-                                                send_fn, tst,
+        l1s.push_back(std::make_unique<L1Cache>(eq, cfg.mem, c, n, _fmem,
+                                                send_fn, stats,
                                                 cfg.smtWays));
-        homes.push_back(std::make_unique<HomeSlice>(teq, cfg.mem, c, n,
-                                                    send_fn, tst));
+        homes.push_back(std::make_unique<HomeSlice>(eq, cfg.mem, c, n,
+                                                    send_fn, stats));
         _mesh->setSink(c, [this, c](std::shared_ptr<noc::Packet> p) {
             dispatch(c, std::move(p));
         });

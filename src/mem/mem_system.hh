@@ -18,7 +18,6 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
-#include "sim/tile_runtime.hh"
 
 namespace misar {
 namespace mem {
@@ -34,13 +33,7 @@ class MemSystem
     using OtherSink =
         std::function<void(CoreId, std::shared_ptr<noc::Packet>)>;
 
-    /**
-     * @p rt routes each tile's components (L1, home slice, router,
-     * NI) to its partition queue, lane, and stat shard; the default
-     * empty runtime is the serial single-queue layout.
-     */
-    MemSystem(EventQueue &eq, const SystemConfig &cfg, StatRegistry &stats,
-              const TileRuntime &rt = {});
+    MemSystem(EventQueue &eq, const SystemConfig &cfg, StatRegistry &stats);
 
     L1Cache &l1(CoreId c) { return *l1s[c]; }
     HomeSlice &home(CoreId c) { return *homes[c]; }

@@ -32,24 +32,16 @@ instrStatPrefixes()
 } // namespace
 
 MsaClientHub::MsaClientHub(EventQueue &eq, const SystemConfig &cfg,
-                           mem::MemSystem &ms, StatRegistry &stats,
-                           const TileRuntime *rt)
-    : eq(eq), cfg(cfg), ms(ms), stats(stats), rt(rt),
-      cores(cfg.numThreads()), homeUnreachable(cfg.numCores, false)
+                           mem::MemSystem &ms, StatRegistry &stats)
+    : eq(eq), cfg(cfg), ms(ms), stats(stats), cores(cfg.numThreads()),
+      swOps(stats, "sync.swOps"), hwOps(stats, "sync.hwOps"),
+      silentLocks(stats, "sync.silentLocks"),
+      homeUnreachable(cfg.numCores, false)
 {
-    const unsigned registries =
-        rt && !rt->shards.empty() ? cfg.numCores : 1;
-    opStats.reserve(registries);
-    for (CoreId t = 0; t < registries; ++t) {
-        StatRegistry &st = rt ? rt->statsFor(t, stats) : stats;
-        OpStats &os = opStats.emplace_back(
-            OpStats{{st, "sync.swOps"}, {st, "sync.hwOps"},
-                    {st, "sync.silentLocks"}, {}});
-        os.byInstr.reserve(2 * countedInstrs);
-        for (const std::string &prefix : instrStatPrefixes()) {
-            os.byInstr.emplace_back(st, prefix, "sw");
-            os.byInstr.emplace_back(st, prefix, "hw");
-        }
+    opsByInstr.reserve(2 * countedInstrs);
+    for (const std::string &prefix : instrStatPrefixes()) {
+        opsByInstr.emplace_back(stats, prefix, "sw");
+        opsByInstr.emplace_back(stats, prefix, "hw");
     }
 
     // Let every L1 ask "is this block a silently-held lock?" so it
@@ -97,13 +89,12 @@ MsaClientHub::attachObservers(obs::Tracer *t, obs::SyncProfiler *p)
 }
 
 void
-MsaClientHub::countOp(CoreId core, const cpu::Op &op, bool hw)
+MsaClientHub::countOp(const cpu::Op &op, bool hw)
 {
     if (op.instr == cpu::SyncInstr::Finish)
         return; // bookkeeping, not a synchronization operation
-    OpStats &os = opStatsOf(core);
-    (hw ? os.hwOps : os.swOps).inc();
-    os.byInstr[2 * static_cast<unsigned>(op.instr) + hw].inc();
+    (hw ? hwOps : swOps).inc();
+    opsByInstr[2 * static_cast<unsigned>(op.instr) + hw].inc();
 }
 
 void
@@ -212,8 +203,8 @@ MsaClientHub::execute(CoreId core, const cpu::Op &op, Cb cb)
                                           MsaOp::LockSilent, op.addr);
         m->requester = core;
         ms.send(std::move(m));
-        opStatsOf(core).silentLocks.inc();
-        countOp(core, op, true);
+        silentLocks.inc();
+        countOp(op, true);
         if (profiler)
             profiler->onSilentAcquire(core, op.addr, eq.now());
         if (tracer)
@@ -239,8 +230,8 @@ MsaClientHub::execute(CoreId core, const cpu::Op &op, Cb cb)
             pc.heldEpoch.erase(it);
         }
         ms.send(std::move(m));
-        pc.releaseSent[op.addr] = eqOf(core).now();
-        countOp(core, op, true);
+        pc.releaseSent[op.addr] = eq.now();
+        countOp(op, true);
         if (profiler)
             profiler->onHwRelease(core, op.addr, eq.now());
         cb(cpu::SyncResult::Success);
@@ -264,8 +255,8 @@ MsaClientHub::execute(CoreId core, const cpu::Op &op, Cb cb)
             pc.heldEpoch.erase(it);
         }
         ms.send(std::move(m));
-        pc.releaseSent[op.addr] = eqOf(core).now();
-        countOp(core, op, true);
+        pc.releaseSent[op.addr] = eq.now();
+        countOp(op, true);
         if (profiler)
             profiler->onHwRelease(core, op.addr, eq.now());
         cb(cpu::SyncResult::Success);
@@ -283,8 +274,8 @@ MsaClientHub::execute(CoreId core, const cpu::Op &op, Cb cb)
                                           MsaOp::UnlockSilent, op.addr);
         m->requester = core;
         ms.send(std::move(m));
-        pc.releaseSent[op.addr] = eqOf(core).now();
-        countOp(core, op, true);
+        pc.releaseSent[op.addr] = eq.now();
+        countOp(op, true);
         if (profiler)
             profiler->onHwRelease(core, op.addr, eq.now());
         if (tracer)
@@ -298,8 +289,8 @@ MsaClientHub::execute(CoreId core, const cpu::Op &op, Cb cb)
         // The home tile is partitioned off: the request could only
         // time out and abandon. Fail fast so Algorithms 1-3 route
         // the op straight to software.
-        statsOf(core).counter("resil.unreachableFastFails").inc();
-        countOp(core, op, false);
+        stats.counter("resil.unreachableFastFails").inc();
+        countOp(op, false);
         cb(cpu::SyncResult::Fail);
         return;
     }
@@ -310,7 +301,7 @@ MsaClientHub::execute(CoreId core, const cpu::Op &op, Cb cb)
     pc.interrupted = false;
     ++pc.opSeq;
     pc.retries = 0;
-    pc.issuedAt = eqOf(core).now();
+    pc.issuedAt = eq.now();
     pc.flowId = tracer ? tracer->newFlowId() : 0;
     pc.respFlowId = 0;
     if (tracer)
@@ -350,8 +341,8 @@ MsaClientHub::armTimeout(CoreId core)
     Tick d = base << shift;
     if ((d >> shift) != base || d > cfg.resil.timeoutCap)
         d = cfg.resil.timeoutCap;
-    eqOf(core).scheduleL(laneOf(core), d,
-                         [this, core, seq = pc.opSeq] { onTimeout(core, seq); });
+    eq.scheduleL(laneOf(core), d,
+                 [this, core, seq = pc.opSeq] { onTimeout(core, seq); });
 }
 
 void
@@ -360,7 +351,7 @@ MsaClientHub::onTimeout(CoreId core, std::uint64_t seq)
     PerCore &pc = cores[core];
     if (!pc.active || pc.opSeq != seq)
         return; // the op completed; this deadline is stale
-    statsOf(core).counter("resil.timeouts").inc();
+    stats.counter("resil.timeouts").inc();
     if (boundedRetry(pc.op.instr) && pc.retries >= cfg.resil.maxRetries) {
         // Give up: ask the home to reconcile OMU accounting for
         // whatever it saw of this transaction, and resolve FAIL so
@@ -372,12 +363,12 @@ MsaClientHub::onTimeout(CoreId core, std::uint64_t seq)
         m->txn = seq;
         m->suspendKind = pc.op.instr;
         ms.send(std::move(m));
-        statsOf(core).counter("resil.abandonedOps").inc();
+        stats.counter("resil.abandonedOps").inc();
         complete(core, cpu::SyncResult::Fail);
         return;
     }
     ++pc.retries;
-    statsOf(core).counter("resil.retries").inc();
+    stats.counter("resil.retries").inc();
     // While suspended (interrupted/resendPending) the op is
     // deliberately not enqueued at the home; keep the deadline chain
     // alive but do not retransmit until the thread resumes.
@@ -409,8 +400,8 @@ MsaClientHub::complete(CoreId core, cpu::SyncResult result, bool no_silent)
     pc.respFlowId = 0;
     // BUSY is a hardware-performed outcome (TRYLOCK observed a held
     // lock at the MSA); only FAIL/ABORT mean the software path ran.
-    countOp(core, pc.op, result == cpu::SyncResult::Success ||
-                       result == cpu::SyncResult::Busy);
+    countOp(pc.op, result == cpu::SyncResult::Success ||
+                   result == cpu::SyncResult::Busy);
     if (pc.op.instr == cpu::SyncInstr::Unlock ||
         pc.op.instr == cpu::SyncInstr::RwUnlock)
         pc.heldEpoch.erase(pc.op.addr); // the grant's epoch is spent
@@ -442,17 +433,17 @@ MsaClientHub::complete(CoreId core, cpu::SyncResult result, bool no_silent)
         // Degraded-mode observability: an ABORT sends the op to the
         // software path with re-acquire semantics (migrated unlocks,
         // suspend-forced demotions, offline-slice shedding).
-        statsOf(core).counter("sync.abortedOps").inc();
+        stats.counter("sync.abortedOps").inc();
         if (pc.op.instr == cpu::SyncInstr::Barrier)
-            statsOf(core).counter("sync.barrierDemotions").inc();
+            stats.counter("sync.barrierDemotions").inc();
     }
     Cb cb = std::move(pc.cb);
     if (pc.interrupted) {
         // The thread was descheduled; it observes the result only
         // after it is scheduled back in.
         pc.interrupted = false;
-        eqOf(core).scheduleL(laneOf(core), cfg.core.suspendResumeDelay,
-                             [cb = std::move(cb), result] { cb(result); });
+        eq.scheduleL(laneOf(core), cfg.core.suspendResumeDelay,
+                     [cb = std::move(cb), result] { cb(result); });
     } else {
         cb(result);
     }
@@ -471,7 +462,7 @@ MsaClientHub::interrupt(CoreId core)
         return; // non-blocking instructions need no SUSPEND
     }
     pc.interrupted = true;
-    statsOf(core).counter("sync.suspends").inc();
+    stats.counter("sync.suspends").inc();
     auto m = std::make_shared<MsaMsg>(cfg.tileOf(core),
                                       homeOf(pc.op.addr), MsaOp::Suspend,
                                       pc.op.addr);
@@ -487,14 +478,14 @@ MsaClientHub::handleMessage(CoreId core, const std::shared_ptr<MsaMsg> &msg)
     if (pc.dead) {
         // A corpse answers nothing — not even a lease probe. The
         // silence is what lets the home's lease expire and revoke.
-        statsOf(core).counter("resil.deadClientDrops").inc();
+        stats.counter("resil.deadClientDrops").inc();
         return;
     }
     if (msg->op == MsaOp::LeaseProbe) {
         // Liveness heartbeat answered by the hub hardware on the
         // core's behalf: a live owner renews even while its thread
         // is blocked or descheduled.
-        statsOf(core).counter("resil.leaseRenewals").inc();
+        stats.counter("resil.leaseRenewals").inc();
         auto r = std::make_shared<MsaMsg>(cfg.tileOf(core), msg->src(),
                                           MsaOp::LeaseRenew, msg->addr);
         r->requester = core;
@@ -505,7 +496,7 @@ MsaClientHub::handleMessage(CoreId core, const std::shared_ptr<MsaMsg> &msg)
         // Response for a transaction we already resolved (e.g. a
         // delayed duplicate racing a cache re-response). Only ever
         // non-zero under fault injection.
-        statsOf(core).counter("resil.staleResponses").inc();
+        stats.counter("resil.staleResponses").inc();
         return;
     }
     if (isReplyOp(msg->op) && msg->op != MsaOp::UnlockDone &&
@@ -554,8 +545,8 @@ MsaClientHub::handleMessage(CoreId core, const std::shared_ptr<MsaMsg> &msg)
              pc.op.instr == cpu::SyncInstr::WrLock)) {
             pc.interrupted = false;
             pc.resendPending = true;
-            eqOf(core).scheduleL(laneOf(core), cfg.core.suspendResumeDelay,
-                                 [this, core, seq = pc.opSeq] {
+            eq.scheduleL(laneOf(core), cfg.core.suspendResumeDelay,
+                         [this, core, seq = pc.opSeq] {
                 PerCore &p = cores[core];
                 p.resendPending = false;
                 // Only re-send if the suspended LOCK is still the

@@ -25,7 +25,6 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
-#include "sim/tile_runtime.hh"
 
 namespace misar {
 namespace msa {
@@ -52,15 +51,8 @@ isClientBound(MsaOp op)
 class MsaClientHub : public cpu::SyncUnit
 {
   public:
-    /**
-     * @p rt (optional, must outlive the hub) routes each client
-     * core's timers, lane, and stat counts to its tile — required
-     * whenever per-tile lanes are on, so that a core's timeout and
-     * resume events replay identically under any partitioning.
-     */
     MsaClientHub(EventQueue &eq, const SystemConfig &cfg,
-                 mem::MemSystem &ms, StatRegistry &stats,
-                 const TileRuntime *rt = nullptr);
+                 mem::MemSystem &ms, StatRegistry &stats);
 
     void execute(CoreId core, const cpu::Op &op, Cb cb) override;
     void interrupt(CoreId core) override;
@@ -211,56 +203,26 @@ class MsaClientHub : public cpu::SyncUnit
                   bool no_silent = false);
 
     /** Count one finished operation for coverage statistics. */
-    void countOp(CoreId core, const cpu::Op &op, bool hw);
-
-    /** The op counters of one stat registry. Their names carry no
-     *  tile, so every thread counting into a registry shares one. */
-    struct OpStats
-    {
-        StatHandle swOps;
-        StatHandle hwOps;
-        StatHandle silentLocks;
-        /** sync.<INSTR>.sw and .hw, at 2 * instruction + hw. */
-        std::vector<StatHandle> byInstr;
-    };
-
-    /** The op counters @p core counts into. */
-    OpStats &
-    opStatsOf(CoreId core)
-    {
-        return opStats[opStats.size() == 1 ? 0 : cfg.tileOf(core)];
-    }
+    void countOp(const cpu::Op &op, bool hw);
 
     CoreId homeOf(Addr a) const;
 
-    /** @name Per-client routing (identity when rt is null). @{ */
-    EventQueue &
-    eqOf(CoreId core)
-    {
-        return rt ? rt->eqFor(cfg.tileOf(core), eq) : eq;
-    }
-
-    StatRegistry &
-    statsOf(CoreId core)
-    {
-        return rt ? rt->statsFor(cfg.tileOf(core), stats) : stats;
-    }
-
-    LaneId
-    laneOf(CoreId core) const
-    {
-        return rt ? rt->laneOf(cfg.tileOf(core)) : 0;
-    }
-    /** @} */
+    /** Lane of @p core's tile: its timers and resumes run there. */
+    LaneId laneOf(CoreId core) const { return cfg.laneOf(cfg.tileOf(core)); }
 
     EventQueue &eq;
     const SystemConfig &cfg;
     mem::MemSystem &ms;
     StatRegistry &stats;
-    const TileRuntime *rt;
     std::vector<PerCore> cores;
-    /** One per tile stat shard, or one for the shared registry. */
-    std::vector<OpStats> opStats;
+    /** @name Op counters. Their names carry no tile, so every thread
+     *  counts into the same ones. @{ */
+    StatHandle swOps;
+    StatHandle hwOps;
+    StatHandle silentLocks;
+    /** sync.<INSTR>.sw and .hw, at 2 * instruction + hw. */
+    std::vector<StatHandle> opsByInstr;
+    /** @} */
 
     /** Homes cut off by a mesh partition (fast-fail new ops). */
     std::vector<bool> homeUnreachable;

@@ -9,21 +9,15 @@ namespace misar {
 namespace noc {
 
 Mesh::Mesh(EventQueue &eq, const NocConfig &cfg, unsigned dim,
-           StatRegistry &stats, const TileRuntime &rt)
+           StatRegistry &stats)
     : eq(eq), stats(stats), _dim(dim)
 {
     routers.reserve(dim * dim);
     nis.reserve(dim * dim);
-    tileStats.reserve(dim * dim);
-    for (unsigned y = 0; y < dim; ++y) {
-        for (unsigned x = 0; x < dim; ++x) {
-            unsigned id = y * dim + x;
-            tileStats.push_back(&rt.statsFor(id, stats));
+    for (unsigned y = 0; y < dim; ++y)
+        for (unsigned x = 0; x < dim; ++x)
             routers.push_back(std::make_unique<Router>(
-                rt.eqFor(id, eq), cfg, id, x, y, dim));
-            routers.back()->setLane(rt.laneOf(id));
-        }
-    }
+                eq, cfg, y * dim + x, x, y, dim));
     for (unsigned y = 0; y < dim; ++y) {
         for (unsigned x = 0; x < dim; ++x) {
             Router *r = routers[y * dim + x].get();
@@ -41,11 +35,9 @@ Mesh::Mesh(EventQueue &eq, const NocConfig &cfg, unsigned dim,
                            portSouth);
         }
     }
-    for (unsigned t = 0; t < dim * dim; ++t) {
+    for (unsigned t = 0; t < dim * dim; ++t)
         nis.push_back(std::make_unique<NetworkInterface>(
-            rt.eqFor(t, eq), cfg, *routers[t], t, *tileStats[t]));
-        nis.back()->setLane(rt.laneOf(t));
-    }
+            eq, cfg, *routers[t], t, stats));
 }
 
 void
@@ -78,8 +70,8 @@ Mesh::hopDistance(CoreId a, CoreId b) const
 void
 Mesh::armFaults()
 {
-    for (unsigned r = 0; r < routers.size(); ++r)
-        routers[r]->armFaults(tileStats[r]);
+    for (auto &r : routers)
+        r->armFaults(&stats);
     for (auto &n : nis)
         n->armFaults();
 }

@@ -17,7 +17,6 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
-#include "sim/tile_runtime.hh"
 
 namespace misar {
 namespace noc {
@@ -25,13 +24,14 @@ namespace noc {
 /**
  * The on-chip network: dim x dim routers wired as a 2D mesh, one
  * NetworkInterface per tile. Tiles are numbered row-major; tile i
- * sits at (i % dim, i / dim).
+ * sits at (i % dim, i / dim). Routers and NIs start on lane 0; a
+ * System moves each onto its tile's lane.
  */
 class Mesh
 {
   public:
     Mesh(EventQueue &eq, const NocConfig &cfg, unsigned dim,
-         StatRegistry &stats, const TileRuntime &rt = {});
+         StatRegistry &stats);
 
     /** Inject @p pkt at its source tile. */
     void send(std::shared_ptr<Packet> pkt);
@@ -56,7 +56,7 @@ class Mesh
     /**
      * Install the transient-corruption roll in every router. The
      * hook receives the rolling router's id so the injector can keep
-     * one RNG stream per router (partition-order independent).
+     * one RNG stream per router.
      */
     void setCorruptFn(const std::function<bool(unsigned router)> &fn);
 
@@ -91,8 +91,6 @@ class Mesh
     EventQueue &eq;
     StatRegistry &stats;
     unsigned _dim;
-    /** Per-tile stat shard (== &stats when not partitioned). */
-    std::vector<StatRegistry *> tileStats;
     std::vector<std::unique_ptr<Router>> routers;
     std::vector<std::unique_ptr<NetworkInterface>> nis;
     /** Master storage for installed route tables; routers hold raw

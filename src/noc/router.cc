@@ -108,7 +108,7 @@ Router::creditUpstream(Port in, unsigned vnet)
     } else if (upstream[in].router) {
         Router *up = upstream[in].router;
         Port up_out = upstream[in].out;
-        eq.scheduleCross(up->lane(), 1, [up, up_out, vnet] {
+        eq.scheduleL(up->lane(), 1, [up, up_out, vnet] {
             up->returnCredit(up_out, vnet);
         });
     }
@@ -397,12 +397,11 @@ Router::tick()
                     panic("router %u: flit routed off mesh edge", _id);
                 Tick lat = cfg.routerLatency + cfg.linkLatency;
                 // Move the flit into the lambda; shared_ptr keeps the
-                // packet alive across hops. The hop targets the
-                // neighbour's lane: a partition boundary routes via
-                // the cross hook with lat >= 1 tick of lookahead.
-                eq.scheduleCross(next->lane(), lat,
-                                 [next, next_in, vnet, f = std::move(flit)]()
-                                     mutable {
+                // packet alive across hops. The hop runs on the
+                // neighbour's lane.
+                eq.scheduleL(next->lane(), lat,
+                             [next, next_in, vnet, f = std::move(flit)]()
+                                 mutable {
                     next->acceptFlit(next_in, vnet, std::move(f));
                 });
             }

@@ -153,8 +153,7 @@ class Router
      * Pin this router's events to a lane. Self-schedules (ticks,
      * severed-ownership retries) stay on the lane even when invoked
      * from the global lane (reconfiguration, fault injection); flit
-     * and credit handoffs target the neighbour's lane so partition
-     * boundaries route through the cross hook.
+     * and credit handoffs run on the neighbour's lane.
      */
     void setLane(LaneId l) { _lane = l; }
     LaneId lane() const { return _lane; }

@@ -107,8 +107,7 @@ void
 writeRunReport(std::ostream &os, const RunMeta &meta,
                const StatRegistry &stats, const SyncProfiler *prof,
                std::size_t top_n, const StatSampler *sampler,
-               std::optional<EventQueue::PoolStats> events,
-               const ResourceMonitor *monitor,
+               const EventQueue *eq, const ResourceMonitor *monitor,
                const srv::ServerStats *server)
 {
     util::JsonWriter w(os);
@@ -176,14 +175,15 @@ writeRunReport(std::ostream &os, const RunMeta &meta,
     }
 
     // -- event-kernel host-side counters ------------------------------
-    if (events) {
+    if (eq) {
+        const EventQueue::PoolStats &ps = eq->poolStats();
         w.key("eventQueue").beginObject();
-        w.kv("executedEvents", events->executed);
-        w.kv("scheduledEvents", events->scheduled);
-        w.kv("recordCapacity", events->recordCapacity);
-        w.kv("chunkAllocs", events->chunkAllocs);
-        w.kv("heapCallbacks", events->heapCallbacks);
-        w.kv("maxPending", events->maxPending);
+        w.kv("executedEvents", ps.executed);
+        w.kv("scheduledEvents", ps.scheduled);
+        w.kv("recordCapacity", ps.recordCapacity);
+        w.kv("chunkAllocs", ps.chunkAllocs);
+        w.kv("heapCallbacks", ps.heapCallbacks);
+        w.kv("maxPending", ps.maxPending);
         w.endObject();
     }
 
@@ -270,20 +270,6 @@ writeRunReport(std::ostream &os, const RunMeta &meta,
     os << "\n";
 }
 
-void
-writeRunReport(std::ostream &os, const RunMeta &meta,
-               const StatRegistry &stats, const SyncProfiler *prof,
-               std::size_t top_n, const StatSampler *sampler,
-               const EventQueue *eq, const ResourceMonitor *monitor,
-               const srv::ServerStats *server)
-{
-    std::optional<EventQueue::PoolStats> events;
-    if (eq)
-        events = eq->poolStats();
-    writeRunReport(os, meta, stats, prof, top_n, sampler, events, monitor,
-                   server);
-}
-
 bool
 writeFileDurable(const std::string &path, const std::string &body)
 {
@@ -326,7 +312,7 @@ CrashReportGuard::CrashReportGuard(std::string path, sys::System &system,
             system.monitor()->finalize(system.eventQueue().now());
         std::ostringstream os;
         writeRunReport(os, meta, system.stats(), system.syncProfiler(),
-                       top_n, system.sampler(), system.eventStats(),
+                       top_n, system.sampler(), &system.eventQueue(),
                        system.monitor());
         writeFileDurable(path, os.str());
     });

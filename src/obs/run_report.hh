@@ -13,7 +13,6 @@
 #define MISAR_OBS_RUN_REPORT_HH
 
 #include <cstdint>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -104,36 +103,21 @@ ResilienceSummary parseResilience(const util::Json &block);
  * Write the JSON run report. @p prof adds the "syncVars" top-N array
  * (pass the profiler's top-N as @p top_n); null omits the section.
  * @p sampler embeds the time-series row count + interval (the rows
- * themselves go to CSV, not the report). @p events adds an
- * "eventQueue" block with the kernel's host-side counters — pass
- * sys::System::eventStats(), which folds every queue of a threaded
- * run (event-pool stats live here and not in the StatRegistry so the
- * registry stays comparable across kernel implementations).
- * @p monitor embeds the "heatmap" resource-pressure summary (the
- * full matrix goes to heatmap.json, not the report). @p server adds
- * the "server" block of an open-/closed-loop server run (request
- * accounting, throughput, tail latency, saturation-knee flag).
+ * themselves go to CSV, not the report). @p eq adds an "eventQueue"
+ * block with the kernel's host-side allocation counters (event-pool
+ * stats live here and not in the StatRegistry so the registry stays
+ * comparable across kernel implementations). @p monitor embeds the
+ * "heatmap" resource-pressure summary (the full matrix goes to
+ * heatmap.json, not the report). @p server adds the "server" block
+ * of an open-/closed-loop server run (request accounting, throughput,
+ * tail latency, saturation-knee flag).
  */
 void writeRunReport(std::ostream &os, const RunMeta &meta,
                     const StatRegistry &stats,
                     const SyncProfiler *prof = nullptr,
                     std::size_t top_n = 16,
                     const StatSampler *sampler = nullptr,
-                    std::optional<EventQueue::PoolStats> events =
-                        std::nullopt,
-                    const ResourceMonitor *monitor = nullptr,
-                    const srv::ServerStats *server = nullptr);
-
-/**
- * The same report with the "eventQueue" block taken from one queue
- * (@p eq, which may be null). That is right for a serial run, whose
- * single queue holds every event; the benchmark program in perfbench/
- * reports its serial runs through this form.
- */
-void writeRunReport(std::ostream &os, const RunMeta &meta,
-                    const StatRegistry &stats, const SyncProfiler *prof,
-                    std::size_t top_n, const StatSampler *sampler,
-                    const EventQueue *eq,
+                    const EventQueue *eq = nullptr,
                     const ResourceMonitor *monitor = nullptr,
                     const srv::ServerStats *server = nullptr);
 

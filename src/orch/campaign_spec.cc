@@ -200,7 +200,7 @@ parsePreset(const util::Json &j, const std::string &ctx, PresetSpec &p,
     std::string name, config;
     if (!knownKeys(j, "preset",
                    {"name", "config", "entries", "hwsync", "omu", "smt",
-                    "threads", "seeds"},
+                    "seeds"},
                    err) ||
         !readString(j, ctx, "name", name, err) ||
         !readString(j, ctx, "config", config, err) ||
@@ -208,7 +208,6 @@ parsePreset(const util::Json &j, const std::string &ctx, PresetSpec &p,
         !readBool(j, ctx, "hwsync", p.hwsync, err) ||
         !readBool(j, ctx, "omu", p.omu, err) ||
         !readUint(j, ctx, "smt", p.smt, err) ||
-        !readUint(j, ctx, "threads", p.threads, err) ||
         !readUintList(j, ctx, "seeds", p.seeds, err))
         return false;
     p.config = j.has("config") ? config : name;
@@ -480,6 +479,10 @@ CampaignSpec::validate()
         if (!found)
             return "baseline '" + baseline + "' is not a preset name";
     }
+    for (std::size_t i = 0; i < stats.size(); ++i)
+        for (std::size_t j = i + 1; j < stats.size(); ++j)
+            if (stats[i] == stats[j])
+                return "duplicate stats name '" + stats[i] + "'";
 
     // Heatmap timelines are driven by the stat sampler; give it a
     // sensible cadence when the spec asks for heatmaps but no rate.

@@ -35,9 +35,9 @@ struct PresetSpec
     bool hwsync = true;   ///< HWSync-bit optimization
     bool omu = true;      ///< overflow management unit
     unsigned smt = 1;     ///< hardware threads per core
-    /** Host worker threads for the simulation kernel (misar_sim
-     *  --threads). Any value produces identical statistics; > 1
-     *  trades determinism-preserving PDES overhead for wall clock. */
+    /** Host threads of the simulation kernel, which is serial. No
+     *  spec key sets it and nothing in src/ reads it; it stays for
+     *  perfbench/perfbench.cc, its last reader. */
     unsigned threads = 1;
     /** Seed override for this preset (empty = the spec's seeds). */
     std::vector<std::uint64_t> seeds;

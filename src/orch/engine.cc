@@ -222,14 +222,14 @@ classify(const PoolOutcome &o)
 
 /**
  * Run job @p j of @p spec: the one job function of both executors.
- * The profiler is serial-only; armed, it adds the report's syncVars.
+ * The profiler is always armed: it adds the report's syncVars.
  */
 sys::RunOutcome
 runJob(const CampaignSpec &spec, const JobSpec &j,
        const InProcessHooks &hooks, std::string *report)
 {
     JobRun run = resolveJob(j, spec.server);
-    run.cfg.obs.profileSync = j.preset.threads == 1;
+    run.cfg.obs.profileSync = true;
     run.cfg.obs.sampleInterval = spec.obs.sampleInterval;
     run.cfg.obs.heatmapEnabled = spec.obs.heatmap;
     if (hooks.tweak)

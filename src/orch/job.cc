@@ -16,7 +16,6 @@ resolveJob(const JobSpec &j, const CampaignSpec::ServerSweep &server)
                            run.cfg, run.flavor))
         fatal("unknown preset config '%s'", j.preset.config.c_str());
     run.cfg.smtWays = j.preset.smt;
-    run.cfg.simThreads = j.preset.threads;
     run.cfg.msa.hwSyncBitOpt = j.preset.hwsync;
     run.cfg.msa.omuEnabled = j.preset.omu;
     run.cfg.seed = j.seed;

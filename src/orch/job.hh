@@ -43,12 +43,12 @@ struct JobRun
 /**
  * Resolve @p j, plus a campaign's @p server overrides, into what the
  * job runs: the preset's SystemConfig at the job's core count, MSA
- * entries, SMT ways, kernel threads, HWSync/OMU switches and seed,
- * and the catalog app with the job's arrival rate, retry policy and
- * tenant mix and the overrides applied. Observability settings stay
- * at their defaults. Front ends check names and value combinations
- * with their own messages first; an unknown preset, app, service
- * distribution, retry policy or tenant mix here is fatal().
+ * entries, SMT ways, HWSync/OMU switches and seed, and the catalog
+ * app with the job's arrival rate, retry policy and tenant mix and
+ * the overrides applied. Observability settings stay at their
+ * defaults. Front ends check names and value combinations with their
+ * own messages first; an unknown preset, app, service distribution,
+ * retry policy or tenant mix here is fatal().
  */
 JobRun resolveJob(const JobSpec &j, const CampaignSpec::ServerSweep &server);
 

@@ -28,8 +28,8 @@ faultable(const std::shared_ptr<noc::Packet> &pkt)
 
 FaultInjector::FaultInjector(EventQueue &eq, const ResilConfig &cfg,
                              unsigned numTiles, StatRegistry &stats,
-                             ForwardFn forward, const TileRuntime *rt)
-    : eq(eq), cfg(cfg), stats(stats), forward(std::move(forward)), rt(rt)
+                             ForwardFn forward)
+    : eq(eq), cfg(cfg), stats(stats), forward(std::move(forward))
 {
     rngs.reserve(numTiles);
     for (unsigned t = 0; t < numTiles; ++t)
@@ -40,29 +40,26 @@ FaultInjector::FaultInjector(EventQueue &eq, const ResilConfig &cfg,
 bool
 FaultInjector::intercept(const std::shared_ptr<noc::Packet> &pkt)
 {
-    const CoreId src = pkt->src();
-    EventQueue &q = rt ? rt->eqFor(src, eq) : eq;
-    if (q.now() < cfg.faultsFromTick || !faultable(pkt))
+    if (eq.now() < cfg.faultsFromTick || !faultable(pkt))
         return false;
-    StatRegistry &st = rt ? rt->statsFor(src, stats) : stats;
-    const double roll = rngs[src].uniform();
+    const double roll = rngs[pkt->src()].uniform();
     if (roll < cfg.dropProb) {
-        st.counter("resil.injectedDrops").inc();
+        stats.counter("resil.injectedDrops").inc();
         return true;
     }
     if (roll < cfg.dropProb + cfg.dupProb) {
-        st.counter("resil.injectedDups").inc();
+        stats.counter("resil.injectedDups").inc();
         forward(pkt);
         auto copy = std::make_shared<msa::MsaMsg>(
             *std::static_pointer_cast<msa::MsaMsg>(pkt));
         // Re-injection happens at the source tile, on its lane.
-        q.schedule(cfg.delayTicks,
-                   [f = forward, copy] { f(copy); });
+        eq.schedule(cfg.delayTicks,
+                    [f = forward, copy] { f(copy); });
         return true;
     }
     if (roll < cfg.dropProb + cfg.dupProb + cfg.delayProb) {
-        st.counter("resil.injectedDelays").inc();
-        q.schedule(cfg.delayTicks, [f = forward, pkt] { f(pkt); });
+        stats.counter("resil.injectedDelays").inc();
+        eq.schedule(cfg.delayTicks, [f = forward, pkt] { f(pkt); });
         return true;
     }
     return false;

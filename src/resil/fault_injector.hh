@@ -14,9 +14,8 @@
  *
  * The injector owns one private RNG stream per source tile, so a
  * given (seed, fault config, workload) triple replays with identical
- * cycle counts — and so each stream's rolls depend only on that
- * tile's own send order, which the event-queue lane contract fixes
- * independently of how tiles are partitioned onto host threads.
+ * cycle counts, and each stream's rolls depend only on that tile's
+ * own send order.
  */
 
 #ifndef MISAR_RESIL_FAULT_INJECTOR_HH
@@ -31,7 +30,6 @@
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
-#include "sim/tile_runtime.hh"
 
 namespace misar {
 namespace resil {
@@ -42,14 +40,9 @@ class FaultInjector
   public:
     using ForwardFn = std::function<void(std::shared_ptr<noc::Packet>)>;
 
-    /**
-     * @p rt (when non-null) routes each intercepted packet's RNG
-     * roll, stat counts, and re-injection schedule to its source
-     * tile's shard and queue; it must outlive the injector.
-     */
     FaultInjector(EventQueue &eq, const ResilConfig &cfg,
                   unsigned numTiles, StatRegistry &stats,
-                  ForwardFn forward, const TileRuntime *rt = nullptr);
+                  ForwardFn forward);
 
     /**
      * Interceptor entry point: returns true when the packet was
@@ -63,7 +56,6 @@ class FaultInjector
     const ResilConfig cfg;
     StatRegistry &stats;
     ForwardFn forward;
-    const TileRuntime *rt;
     /** One stream per source tile (see file comment). */
     std::vector<Rng> rngs;
 };

@@ -59,10 +59,8 @@ class NocFaultInjector
     /**
      * One corruption stream per router. A single shared stream would
      * interleave rolls from every tile, making each roll's value
-     * depend on the global packet order — which the parallel kernel
-     * does not preserve across partitions. Per-router streams depend
-     * only on that router's own traversal count, which the lane
-     * contract does fix.
+     * depend on the global packet order; a per-router stream depends
+     * only on that router's own traversal count.
      */
     std::vector<Rng> routerRngs;
     PartitionFn partitionFn;

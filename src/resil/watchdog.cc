@@ -5,10 +5,8 @@
 namespace misar {
 namespace resil {
 
-Watchdog::Watchdog(EventQueue &eq, Tick interval, StatRegistry &stats,
-                   unsigned numCores)
-    : eq(eq), interval(interval), stats(stats),
-      cells(numCores ? numCores : 1)
+Watchdog::Watchdog(EventQueue &eq, Tick interval, StatRegistry &stats)
+    : eq(eq), interval(interval), stats(stats)
 {
     onStall = [](const std::string &rep) {
         warn("%s", rep.c_str());
@@ -32,7 +30,6 @@ Watchdog::check()
     scheduled = false;
     if (allDone && allDone())
         return;
-    const std::uint64_t progress = progressSum();
     if (progress == lastSeen && !firedStall) {
         // No thread progressed — but traffic still moving through a
         // degraded mesh (detours, retransmissions) means the system

@@ -2,15 +2,13 @@
  * @file
  * Liveness watchdog: detects no-forward-progress windows.
  *
- * Each core bumps its own progress cell every time a thread retires
- * a synchronization instruction or finishes (cells are per-core and
- * cache-line padded so tile lanes on different host threads never
- * write the same line). The watchdog sums the cells every `interval`
- * ticks; if a whole window passes with no progress while threads are
- * still running, it asks the system for a waits-for report (blocked
- * ops, entry ownership, cycles) and hands it to the stall handler —
- * by default warn + fatal(), overridable for tests and for the
- * deadlock path in System::runDetailed().
+ * Cores bump a shared progress cell every time a thread retires a
+ * synchronization instruction or finishes. The watchdog samples the
+ * cell every `interval` ticks; if a whole window passes with no
+ * progress while threads are still running, it asks the system for a
+ * waits-for report (blocked ops, entry ownership, cycles) and hands
+ * it to the stall handler — by default warn + fatal(), overridable
+ * for tests and for the deadlock path in System::runDetailed().
  */
 
 #ifndef MISAR_RESIL_WATCHDOG_HH
@@ -19,7 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -45,8 +42,7 @@ class Watchdog
      */
     using AuxProgressFn = std::function<std::uint64_t()>;
 
-    Watchdog(EventQueue &eq, Tick interval, StatRegistry &stats,
-             unsigned numCores = 1);
+    Watchdog(EventQueue &eq, Tick interval, StatRegistry &stats);
 
     void setReportFn(ReportFn f) { report = std::move(f); }
     void setStallHandler(StallFn f) { onStall = std::move(f); }
@@ -56,8 +52,8 @@ class Watchdog
     /** Arm the first window. */
     void start();
 
-    /** Cell core @p c increments on every retired sync op / exit. */
-    std::uint64_t *progressCell(CoreId c = 0) { return &cells[c].v; }
+    /** Cell cores increment on every retired sync op / thread exit. */
+    std::uint64_t *progressCell() { return &progress; }
 
     /** Number of still-pending maintenance events (0 or 1); lets the
      *  system exclude watchdog ticks from deadlock detection. */
@@ -67,23 +63,7 @@ class Watchdog
     bool stalled() const { return firedStall; }
 
   private:
-    /** One per-core counter, padded to avoid false sharing. */
-    struct alignas(64) Cell
-    {
-        std::uint64_t v = 0;
-    };
-
     void check();
-
-    /** Sum of every core's cell (read from the global lane only). */
-    std::uint64_t
-    progressSum() const
-    {
-        std::uint64_t s = 0;
-        for (const Cell &c : cells)
-            s += c.v;
-        return s;
-    }
 
     EventQueue &eq;
     Tick interval;
@@ -93,7 +73,7 @@ class Watchdog
     DoneFn allDone;
     AuxProgressFn auxProgress;
 
-    std::vector<Cell> cells;
+    std::uint64_t progress = 0;
     std::uint64_t lastSeen = 0;
     std::uint64_t lastAux = 0;
     bool scheduled = false;

@@ -27,23 +27,9 @@ SystemConfig::validate() const
     if (numThreads() > 1024)
         fatal("numCores*smtWays (%u) exceeds the 1024 HWQueue bits",
               numThreads());
-    if (simThreads == 0 || simThreads > 64)
-        fatal("simThreads (%u) out of supported range [1, 64]", simThreads);
-    if (simThreads > 1 && !tileLanes())
-        fatal("--threads > 1 requires a per-tile-lane mode; the Ideal "
-              "oracle wakes cores across tiles in the same tick and "
-              "only runs serially");
-    if (simThreads > 1 && resil.failoverBuddy >= 0)
-        fatal("--threads > 1 is incompatible with slice failover: the "
-              "buddy handoff reaches across tiles with no NoC latency, "
-              "which breaks the PDES lookahead contract");
-    if (simThreads > numCores)
-        fatal("simThreads (%u) exceeds numCores (%u): every worker "
-              "needs at least one tile", simThreads, numCores);
-    if (simThreads > 1 && (obs.traceEnabled || obs.profileSync))
-        fatal("--threads > 1 is incompatible with --trace/--profile-sync: "
-              "those instruments mutate shared timelines from every "
-              "tile; run them at --threads 1");
+    if (simThreads != 1)
+        fatal("simThreads (%u) must be 1: the simulation kernel is "
+              "serial", simThreads);
     if (msa.mode == AccelMode::MsaOmu && msa.omuCounters == 0)
         fatal("MSA/OMU mode requires at least one OMU counter");
     if ((mem.l1Sets & (mem.l1Sets - 1)) != 0)

@@ -343,14 +343,9 @@ struct SystemConfig
 {
     unsigned numCores = 16;   ///< must be a perfect square (mesh)
     /**
-     * Host worker threads for the simulation kernel. 1 = the serial
-     * calendar-queue kernel; N > 1 partitions the mesh into N
-     * contiguous tile groups, each with its own event queue, run
-     * under the conservative PDES scheme (sim/parallel.hh). Any N
-     * produces the same trajectory and statistics as N = 1; N > 1
-     * requires a per-tile-lane mode (not Ideal) and no slice
-     * failover (failoverBuddy routes requests across tiles with no
-     * NoC latency, which breaks the lookahead contract).
+     * Host threads of the simulation kernel, which is serial:
+     * validate() accepts only 1. The field stays for
+     * perfbench/perfbench.cc, its last reader.
      */
     unsigned simThreads = 1;
     /**
@@ -380,8 +375,8 @@ struct SystemConfig
     /**
      * Whether components get per-tile event-queue lanes. The Ideal
      * oracle performs same-tick cross-core wakeups through a global
-     * table, so it keeps everything on lane 0 (and cannot run
-     * threaded); every real mode isolates tiles behind NoC latency.
+     * table, so it keeps everything on lane 0; every real mode
+     * isolates tiles behind NoC latency.
      */
     bool tileLanes() const { return msa.mode != AccelMode::Ideal; }
 

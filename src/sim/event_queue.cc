@@ -18,9 +18,9 @@ EventQueue::~EventQueue()
             r = next;
         }
     };
-    for (Lane &l : nearLanes)
+    for (Chain &l : nearLanes)
         destroyChain(l.head);
-    for (Bucket &b : buckets)
+    for (Chain &b : buckets)
         destroyChain(b.head);
     for (EventRecord *r : overflow)
         r->op(r, false);
@@ -54,7 +54,7 @@ EventQueue::growPool()
 void
 EventQueue::appendBucket(EventRecord *r)
 {
-    Bucket &b = buckets[static_cast<std::size_t>(r->when) & bucketMask];
+    Chain &b = buckets[static_cast<std::size_t>(r->when) & bucketMask];
     r->next = nullptr;
     if (b.tail) {
         b.tail->next = r;
@@ -76,31 +76,6 @@ EventQueue::pushOverflow(EventRecord *r)
 }
 
 void
-EventQueue::insertForeign(LaneId lane, Tick when, Tick sendTick,
-                          LaneId senderLane, Callback fn)
-{
-    // when == _now is legal: the engine drains mailboxes after
-    // aligning the clock to the window tick but before running it,
-    // so a delivery dated exactly this tick still executes in order.
-    if (when < _now)
-        panic("foreign event at tick %llu but now is %llu "
-              "(cross-partition events need >= 1 tick of lookahead)",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(_now));
-    if (lane >= numLanes)
-        panic("foreign event on lane %u but only %u lanes configured",
-              lane, numLanes);
-    EventRecord *r = allocRecord();
-    r->when = when;
-    r->sendTick = sendTick;
-    r->seq = nextSeq++;
-    r->lane = lane;
-    r->senderLane = senderLane;
-    storeCallable(r, std::move(fn));
-    insert(r);
-}
-
-void
 EventQueue::promote()
 {
     // maxTick-adjacent clocks cannot overflow the boundaries in any
@@ -111,24 +86,24 @@ EventQueue::promote()
         std::pop_heap(overflow.begin(), overflow.end(), later);
         EventRecord *r = overflow.back();
         overflow.pop_back();
-        // Heap pops ascend in (when, seq); per-sender FIFO holds
-        // because one sender's records carry ascending seqs. Any
-        // cross-sender misordering against records already in the
-        // bucket is repaired by the lane chains' sort check.
+        // Heap pops ascend in (when, seq). A record filed straight
+        // into the ring was issued at a clock within the horizon of
+        // its tick, after promote() had run at that clock, so each
+        // bucket stays in issue order.
         appendBucket(r);
     }
 
     // Ticks in [max(nearEnd, now), now + nearTicks) enter the near
     // window now. Their ring buckets move into the lane chains before
     // anything can append there directly: every direct append is
-    // sent later (within nearTicks of its tick), so FIFO order stays
-    // sender-key order. Skipped ticks below now hold no events (the
+    // issued later (within nearTicks of its tick), so FIFO order stays
+    // issue order. Skipped ticks below now hold no events (the
     // clock only jumps to the next pending tick).
     const Tick end = (_now > maxTick - nearTicks) ? maxTick
                                                   : _now + nearTicks;
     for (Tick t = std::max(nearEnd, _now); t < end && ringCount; ++t) {
         const std::size_t idx = static_cast<std::size_t>(t) & bucketMask;
-        Bucket &b = buckets[idx];
+        Chain &b = buckets[idx];
         if (!b.head)
             continue;
         for (EventRecord *r = b.head; r;) {
@@ -174,45 +149,20 @@ EventQueue::nextRingTick() const
 }
 
 void
-EventQueue::sortLane(Lane &lane)
-{
-    sortScratch.clear();
-    for (EventRecord *r = lane.head; r; r = r->next)
-        sortScratch.push_back(r);
-    std::stable_sort(sortScratch.begin(), sortScratch.end(),
-                     [](const EventRecord *a, const EventRecord *b) {
-                         return senderBefore(a, b);
-                     });
-    EventRecord *head = nullptr, *tail = nullptr;
-    for (EventRecord *r : sortScratch) {
-        r->next = nullptr;
-        (tail ? tail->next : head) = r;
-        tail = r;
-    }
-    lane.head = head;
-    lane.tail = tail;
-    lane.dirty = false;
-    ++pstats.laneSorts;
-}
-
-void
 EventQueue::runTick(Tick t)
 {
     if (t != _now)
         panic("runTick(%llu) but now is %llu",
               static_cast<unsigned long long>(t),
               static_cast<unsigned long long>(_now));
-    // Execute the tick's lane chains in ascending lane order. Each
-    // chain is already in sender-key order unless an append flagged
-    // it dirty. Callbacks may append same-tick events to the current
-    // or any later lane; the occupancy rescan picks up lanes that
-    // only just became occupied.
+    // Execute the tick's lane chains in ascending lane order, each in
+    // issue order. Callbacks may append same-tick events to the
+    // current or any later lane; the occupancy rescan picks up lanes
+    // that only just became occupied.
     const unsigned slot = static_cast<unsigned>(t) & nearMask;
     for (LaneId l = nextOccupiedLane(slot, 0); l < numLanes;
          l = nextOccupiedLane(slot, l)) {
-        Lane &lane = nearLane(l, t);
-        if (lane.dirty)
-            sortLane(lane);
+        Chain &lane = nearLane(l, t);
         curLane = l;
         while (EventRecord *r = lane.head) {
             lane.head = r->next;

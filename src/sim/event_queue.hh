@@ -7,12 +7,7 @@
  * injectors, run-control lambdas) and lane 1+t is tile t (its core,
  * L1, router, NI, and MSA slice). Within one tick, lanes execute in
  * ascending order; within one (tick, lane) cell, events execute in
- * ascending (sendTick, senderLane) order, FIFO per sender. This
- * contract is what makes parallel tile-partitioned execution
- * (sim/parallel.hh) produce the same trajectory as serial execution:
- * the key is a property of the *sender*, not of host-side insertion
- * order, so it is invariant under any partitioning of lanes onto
- * threads.
+ * the order they were scheduled.
  *
  * Implementation: a three-level calendar queue tuned for the
  * host-side hot path. Events due within `nearTicks` (8) ticks of now
@@ -26,20 +21,15 @@
  * in a min-heap. As the clock advances, promote() moves heap events
  * into the ring, then each ring bucket whose tick enters the near
  * window into its lane chains — before anything can append there, so
- * an earlier-sent event always lands ahead of a later-sent one. A
- * chain is stable-sorted by (sendTick, senderLane) only when an append
- * finds it out of order, which never happens in serial runs — serial
- * execution appends in exactly that order — and only happens in
- * threaded runs for cells that received cross-partition mailbox
- * deliveries. Event records come from a free-list pool and store
- * their callback inline in a small buffer, so the steady-state event
- * loop performs no heap allocation at all (see poolStats()).
+ * an earlier-scheduled event always lands ahead of a later one and
+ * every chain stays in issue order without a sort. Event records
+ * come from a free-list pool and store their callback inline in a
+ * small buffer, so the steady-state event loop performs no heap
+ * allocation at all (see poolStats()).
  *
  * Determinism contract: execution order is exactly ascending
- * (tick, lane, sendTick, senderLane, per-sender FIFO). A single-lane
- * queue (the default: numLanes == 1) degenerates to plain
- * (tick, insertion sequence) order, bit-identical to the pre-lane
- * kernel.
+ * (tick, lane, issue order). A single-lane queue (the default:
+ * numLanes == 1) degenerates to plain (tick, issue order).
  */
 
 #ifndef MISAR_SIM_EVENT_QUEUE_HH
@@ -48,7 +38,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -62,17 +51,13 @@ namespace misar {
 /**
  * The simulation event queue and clock.
  *
- * All simulated components of one partition share one EventQueue
- * (serial runs have a single partition spanning every lane).
+ * All simulated components of one System share one EventQueue.
  * Components schedule callbacks at absolute or relative ticks;
- * run() drains the queue in (tick, lane, sender-order) order.
+ * run() drains the queue in (tick, lane, issue order).
  */
 class EventQueue
 {
   public:
-    /** Legacy callback alias; schedule() takes any callable. */
-    using Callback = std::function<void()>;
-
     /** Why drain() returned. */
     enum class DrainResult
     {
@@ -95,20 +80,7 @@ class EventQueue
         std::uint64_t scheduled = 0;
         /** High-water mark of simultaneously pending events. */
         std::uint64_t maxPending = 0;
-        /** Lane chains re-sorted at drain (cross-partition merges). */
-        std::uint64_t laneSorts = 0;
     };
-
-    /**
-     * Hook routing cross-partition events to their owning queue
-     * (sim/parallel.cc installs one per worker). Receives the
-     * destination lane, absolute tick, and the sender's identity so
-     * the receiving queue can file the event under the same
-     * deterministic key it would have had if inserted inline.
-     */
-    using CrossHook = void (*)(void *ctx, LaneId dstLane, Tick when,
-                               Tick sendTick, LaneId senderLane,
-                               Callback fn);
 
     EventQueue();
     ~EventQueue();
@@ -170,50 +142,6 @@ class EventQueue
         insert(r);
     }
 
-    /**
-     * Schedule onto a lane that may be owned by another partition's
-     * queue. Serial runs (no hook installed) and in-partition lanes
-     * insert inline; foreign lanes are handed to the cross hook,
-     * which mails them to the owning queue. Cross-partition events
-     * must carry at least one tick of latency (the PDES lookahead
-     * window) — a zero-delay foreign send panics.
-     */
-    template <typename F>
-    void
-    scheduleCross(LaneId dstLane, Tick delay, F &&f)
-    {
-        if (!crossHook || (dstLane >= ownLaneBegin && dstLane < ownLaneEnd)) {
-            scheduleAtL(dstLane, _now + delay, std::forward<F>(f));
-            return;
-        }
-        if (delay == 0)
-            panic("zero-delay cross-partition event to lane %u", dstLane);
-        crossHook(crossCtx, dstLane, _now + delay, _now, curLane,
-                  Callback(std::forward<F>(f)));
-    }
-
-    /**
-     * Install the cross-partition routing hook. Lanes in
-     * [ownBegin, ownEnd) are owned by this queue and keep inserting
-     * inline; everything else is routed through @p hook.
-     */
-    void
-    setCrossHook(void *ctx, CrossHook hook, LaneId ownBegin, LaneId ownEnd)
-    {
-        crossCtx = ctx;
-        crossHook = hook;
-        ownLaneBegin = ownBegin;
-        ownLaneEnd = ownEnd;
-    }
-
-    /**
-     * Insert an event delivered from another partition's mailbox,
-     * preserving the sender's deterministic ordering key. Only the
-     * parallel kernel calls this, between tick barriers.
-     */
-    void insertForeign(LaneId lane, Tick when, Tick sendTick,
-                       LaneId senderLane, Callback fn);
-
     /** True when no events remain. */
     bool empty() const { return numPending == 0; }
 
@@ -255,27 +183,6 @@ class EventQueue
         return ringCount ? nextRingTick() : overflow.front()->when;
     }
 
-    /**
-     * Advance the clock to @p t without executing anything (the
-     * parallel kernel aligns partition clocks at each barrier).
-     * @pre no pending event earlier than @p t.
-     */
-    void
-    advanceTo(Tick t)
-    {
-        if (t <= _now)
-            return;
-        if (numPending && nextEventTick() < t)
-            panic("advanceTo(%llu) would skip a pending event at %llu",
-                  static_cast<unsigned long long>(t),
-                  static_cast<unsigned long long>(nextEventTick()));
-        _now = t;
-        promote();
-    }
-
-    /** Execute every event at tick @p t. @pre t == now(). */
-    void runTick(Tick t);
-
     /** Total number of events executed so far. */
     std::uint64_t executedEvents() const { return pstats.executed; }
 
@@ -310,29 +217,20 @@ class EventQueue
     struct EventRecord
     {
         Tick when;
-        Tick sendTick;
         std::uint64_t seq;
         LaneId lane;
-        LaneId senderLane;
         EventRecord *next;
         /** Run (and destroy) or just destroy the stored callable. */
         void (*op)(EventRecord *, bool run);
         alignas(std::max_align_t) unsigned char storage[inlineBytes];
     };
 
-    struct Bucket
+    /** FIFO chain of records: one (near tick, lane) cell or one
+     *  ring bucket. */
+    struct Chain
     {
         EventRecord *head = nullptr;
         EventRecord *tail = nullptr;
-    };
-
-    /** FIFO chain of one (near tick, lane) cell. */
-    struct Lane
-    {
-        EventRecord *head = nullptr;
-        EventRecord *tail = nullptr;
-        /** An append landed out of sender-key order (needs a sort). */
-        bool dirty = false;
     };
 
     template <typename Fn>
@@ -364,17 +262,7 @@ class EventQueue
         return a->seq > b->seq;
     }
 
-    /** Sender key: drains execute each (tick, lane) cell in this
-     *  order, FIFO per equal key (stable sort). */
-    static bool
-    senderBefore(const EventRecord *a, const EventRecord *b)
-    {
-        if (a->sendTick != b->sendTick)
-            return a->sendTick < b->sendTick;
-        return a->senderLane < b->senderLane;
-    }
-
-    /** Allocate and key a record (shared by every schedule path). */
+    /** Allocate and key a record. */
     EventRecord *
     prepareRecord(LaneId lane, Tick when)
     {
@@ -387,10 +275,8 @@ class EventQueue
                   lane, numLanes);
         EventRecord *r = allocRecord();
         r->when = when;
-        r->sendTick = _now;
         r->seq = nextSeq++;
         r->lane = lane;
-        r->senderLane = curLane;
         return r;
     }
 
@@ -457,7 +343,7 @@ class EventQueue
     }
 
     /** Chain of lane @p lane for near tick @p when. */
-    Lane &
+    Chain &
     nearLane(LaneId lane, Tick when)
     {
         return nearLanes[(static_cast<std::size_t>(lane) << nearBits) |
@@ -473,16 +359,13 @@ class EventQueue
     }
 
     /** Append @p r to its (tick, lane) chain; r->when must be in
-     *  [now, now+nearTicks). Flags the chain for a sort when @p r
-     *  sorts before its tail (a cross-partition delivery). */
+     *  [now, now+nearTicks). */
     void
     appendNear(EventRecord *r)
     {
-        Lane &l = nearLane(r->lane, r->when);
+        Chain &l = nearLane(r->lane, r->when);
         r->next = nullptr;
         if (l.tail) {
-            if (senderBefore(r, l.tail))
-                l.dirty = true;
             l.tail->next = r;
         } else {
             l.head = r;
@@ -500,8 +383,8 @@ class EventQueue
     /** Push @p r onto the far-future overflow heap. */
     void pushOverflow(EventRecord *r);
 
-    /** Stable-sort chain @p lane by sender key (cross-partition merge). */
-    void sortLane(Lane &lane);
+    /** Execute every event at tick @p t. @pre t == now(). */
+    void runTick(Tick t);
 
     /** Move overflow events now inside the ring horizon into the
      *  ring, then ring buckets of ticks now inside the near window
@@ -536,7 +419,7 @@ class EventQueue
     /** Near-window chains, lane-major (see nearLane()), so growing
      *  the lane count keeps every pending chain in place. */
     LaneId numLanes = 1;
-    std::vector<Lane> nearLanes = std::vector<Lane>(nearTicks);
+    std::vector<Chain> nearLanes = std::vector<Chain>(nearTicks);
     /** Lane occupancy per near slot (see nearOccIndex()). */
     std::vector<std::uint64_t> nearOcc =
         std::vector<std::uint64_t>(nearTicks, 0);
@@ -546,22 +429,13 @@ class EventQueue
      *  window (now + nearTicks after each promote()). */
     Tick nearEnd = nearTicks;
 
-    std::vector<Bucket> buckets{numBuckets};
+    std::vector<Chain> buckets{numBuckets};
     /** One occupancy bit per bucket. */
     std::vector<std::uint64_t> occ = std::vector<std::uint64_t>(numWords, 0);
     /** Far-future events as a (when, seq) min-heap. */
     std::vector<EventRecord *> overflow;
     std::size_t ringCount = 0;
     std::size_t numPending = 0;
-
-    /** Scratch buffer for sortLane. */
-    std::vector<EventRecord *> sortScratch;
-
-    /** Cross-partition routing (null in serial runs). */
-    void *crossCtx = nullptr;
-    CrossHook crossHook = nullptr;
-    LaneId ownLaneBegin = 0;
-    LaneId ownLaneEnd = 0;
 
     /** Free-list over pool chunk records. */
     EventRecord *freeHead = nullptr;

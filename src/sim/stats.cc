@@ -80,15 +80,6 @@ StatRegistry::dump(std::ostream &os) const
     }
 }
 
-void
-StatRegistry::mergeFrom(const StatRegistry &o)
-{
-    for (const auto &[name, c] : o.counters)
-        counters[name].inc(c.value());
-    for (const auto &[name, a] : o.averages)
-        averages[name].merge(a);
-}
-
 template <>
 void
 BoundStat<StatCounter>::bind()

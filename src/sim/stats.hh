@@ -53,25 +53,6 @@ class StatAverage
     double min() const { return _count ? _min : 0.0; }
     double max() const { return _count ? _max : 0.0; }
 
-    /** Fold another average's samples in (exact for sum/count/min/max). */
-    void
-    merge(const StatAverage &o)
-    {
-        if (!o._count)
-            return;
-        if (!_count) {
-            _min = o._min;
-            _max = o._max;
-        } else {
-            if (o._min < _min)
-                _min = o._min;
-            if (o._max > _max)
-                _max = o._max;
-        }
-        _sum += o._sum;
-        _count += o._count;
-    }
-
     void
     reset()
     {
@@ -140,14 +121,6 @@ class StatRegistry
 
     /** Dump everything, sorted by name. */
     void dump(std::ostream &os) const;
-
-    /**
-     * Accumulate every stat from @p o into this registry (counters
-     * add, averages fold sample moments).
-     * Used to collapse per-tile shards into the global registry after
-     * a threaded run; the result is independent of merge order.
-     */
-    void mergeFrom(const StatRegistry &o);
 
     /**
      * Zero every stat. Entries are kept (none is ever erased), so a

@@ -6,10 +6,10 @@
  * Everything here is host-side and pure: a RequestSchedule is fully
  * materialized from (spec, seed) before the simulation starts, so the
  * per-request tables are immutable during the run. That keeps the
- * open-loop server deterministic at a fixed seed, identical across
- * `--threads N`, and free of coordinated omission — request latency is
- * always measured from the *scheduled* arrival tick, never from when a
- * dispatcher happened to get around to it.
+ * open-loop server deterministic at a fixed seed and free of
+ * coordinated omission — request latency is always measured from the
+ * *scheduled* arrival tick, never from when a dispatcher happened to
+ * get around to it.
  */
 
 #ifndef MISAR_SRV_ARRIVAL_HH

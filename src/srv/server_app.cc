@@ -196,8 +196,7 @@ ServerHarness::retryDelay(std::uint64_t id, unsigned attempt) const
 {
     // Capped exponential backoff with deterministic jitter: the
     // jitter stream is keyed on (seed, id, attempt) alone, so it is
-    // independent of dispatcher interleaving and identical across
-    // `--threads N`.
+    // independent of dispatcher interleaving.
     const unsigned shift = std::min(attempt, 31u);
     const Tick backoff = std::min(spec_.retryBackoffCap,
                                   spec_.retryBackoffBase << shift);
@@ -550,8 +549,6 @@ ServerHarness::finalize(Tick makespan) const
     s.offeredRate = open ? spec_.arrivalRate : 0.0;
     s.sloTicks = spec_.sloTicks;
     s.retryPolicy = spec_.retryPolicy;
-    // Merge in core order so the result is independent of host
-    // scheduling under `--threads N`.
     for (const PerCore &pc : perCore) {
         s.generated += pc.generated;
         s.completed += pc.completed;

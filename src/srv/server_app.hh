@@ -23,8 +23,7 @@
  * either before the run or per-core inside the coroutine; cross-core
  * coordination happens only through simulated memory. Host-side
  * recording is per-core slots merged in core order at finalize(), so
- * runs are bit-identical at a fixed seed and stats-identical across
- * `--threads N`.
+ * runs are bit-identical at a fixed seed.
  */
 
 #ifndef MISAR_SRV_SERVER_APP_HH

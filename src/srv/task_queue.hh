@@ -19,8 +19,7 @@
  * Values must be non-zero (store id+1); 0 means "empty". All state —
  * lock words, condvars, indices, slots — is in simulated memory, one
  * cache block apart, so cross-core access is mediated entirely by the
- * simulated memory system and the runs stay identical across
- * `--threads N`.
+ * simulated memory system.
  */
 
 #ifndef MISAR_SRV_TASK_QUEUE_HH

@@ -142,8 +142,7 @@ SyncLib::barrierWait(ThreadApi t, Addr b, std::uint32_t goal)
 SyncLib::RwHold &
 SyncLib::rwHold(CoreId core, Addr l)
 {
-    // Per-core maps: cores on different simulation partitions touch
-    // only their own map, and core ids of any width fit (the old
+    // Per-core maps: core ids of any width fit (the old
     // (l << 8 | core) key silently aliased cores 256 apart).
     return rwHoldsByCore[core][l];
 }

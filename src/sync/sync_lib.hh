@@ -50,9 +50,9 @@ using cpu::ThreadApi;
  * Software algorithms need per-object scratch memory (MCS queue
  * nodes, tournament flags, condvar tickets). The region address must
  * be a pure function of the object — a first-use bump allocator
- * would hand out addresses in discovery order, which differs between
- * thread interleavings and would shift home tiles and cache behavior
- * between `--threads` counts (besides racing on the map itself).
+ * would hand out addresses in discovery order, so any change to the
+ * order in which threads first touch their objects would shift home
+ * tiles and cache behavior.
  *
  * Layout: bit 62 tags the aux space (workloads never allocate
  * there); each object owns a 2^auxSlabShift-byte slab at
@@ -180,8 +180,7 @@ class SyncLib
 
     Flavor _flavor;
     unsigned numCores;
-    /** Indexed [core][lock]: with parallel simulation each core's
-     *  map is touched only from its own partition. */
+    /** Indexed [core][lock], so core ids of any width key apart. */
     std::vector<std::unordered_map<Addr, RwHold>> rwHoldsByCore;
     DeadQuery isDeadFn;
 };

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 
 namespace misar {
 namespace sys {
@@ -21,41 +20,24 @@ System::System(const SystemConfig &cfg_in) : cfg(cfg_in)
         cfg.noc.reliable = true;
     }
 
-    // --- event lanes + PDES partitioning ---------------------------
-    // Lanes are on whenever the mode supports them (everything but
-    // Ideal), including --threads 1: the lane-ordered trajectory is
-    // what makes a threaded run stats-identical to a serial one.
+    // --- event lanes ------------------------------------------------
+    // Each tile's router, NI, core and slice run on the tile's lane
+    // (every mode but Ideal); the (tick, lane) execution order is
+    // part of every recorded trajectory.
     eq.setNumLanes(cfg.laneCount());
-    rt.tileLanes = cfg.tileLanes();
-    if (cfg.simThreads > 1) {
-        const unsigned P = cfg.simThreads;
-        laneToPart.assign(cfg.laneCount(), P); // lane 0 -> global
-        for (unsigned p = 0; p < P; ++p) {
-            partQueues.push_back(std::make_unique<EventQueue>());
-            partQueues.back()->setNumLanes(cfg.laneCount());
-        }
-        rt.queues.resize(cfg.numCores);
-        rt.shards.resize(cfg.numCores);
-        for (CoreId t = 0; t < cfg.numCores; ++t) {
-            const unsigned p = static_cast<unsigned>(
-                (static_cast<std::uint64_t>(t) * P) / cfg.numCores);
-            rt.queues[t] = partQueues[p].get();
-            laneToPart[cfg.laneOf(t)] = p;
-            statShards.push_back(std::make_unique<StatRegistry>());
-            rt.shards[t] = statShards.back().get();
-        }
-    }
 
-    ms = std::make_unique<mem::MemSystem>(eq, cfg, _stats, rt);
-    if (cfg.simThreads > 1)
-        ms->fmem().enableLocking();
+    ms = std::make_unique<mem::MemSystem>(eq, cfg, _stats);
+    for (CoreId t = 0; t < cfg.numCores; ++t) {
+        ms->mesh().router(t).setLane(cfg.laneOf(t));
+        ms->mesh().ni(t).setLane(cfg.laneOf(t));
+    }
 
     const bool has_msa = cfg.msa.mode == AccelMode::MsaOmu ||
                          cfg.msa.mode == AccelMode::MsaInfinite;
 
     if (has_msa) {
         auto hub_owner =
-            std::make_unique<msa::MsaClientHub>(eq, cfg, *ms, _stats, &rt);
+            std::make_unique<msa::MsaClientHub>(eq, cfg, *ms, _stats);
         hub = hub_owner.get();
         syncUnit = std::move(hub_owner);
 
@@ -64,9 +46,8 @@ System::System(const SystemConfig &cfg_in) : cfg(cfg_in)
         };
         for (CoreId t = 0; t < cfg.numCores; ++t) {
             slices.push_back(std::make_unique<msa::MsaSlice>(
-                rt.eqFor(t, eq), cfg, t, ms->home(t), send_fn,
-                rt.statsFor(t, _stats)));
-            slices.back()->setLane(rt.laneOf(t));
+                eq, cfg, t, ms->home(t), send_fn, _stats));
+            slices.back()->setLane(cfg.laneOf(t));
             // Push/revoke traffic must follow an address's *home*
             // directory, not the slice's own tile: after a slice
             // failover the buddy serves variables whose cached copies
@@ -94,16 +75,14 @@ System::System(const SystemConfig &cfg_in) : cfg(cfg_in)
     } else if (cfg.msa.mode == AccelMode::Ideal) {
         syncUnit = std::make_unique<msa::IdealSyncUnit>(_stats);
     } else {
-        syncUnit = std::make_unique<msa::NullSyncUnit>(_stats, &rt,
-                                                       cfg.smtWays);
+        syncUnit = std::make_unique<msa::NullSyncUnit>(_stats);
     }
 
     for (CoreId t = 0; t < cfg.numThreads(); ++t) {
         const CoreId tile = cfg.tileOf(t);
         cores.push_back(std::make_unique<cpu::Core>(
-            rt.eqFor(tile, eq), cfg.core, t, ms->l1(tile),
-            rt.statsFor(tile, _stats)));
-        cores.back()->setLane(rt.laneOf(tile));
+            eq, cfg.core, t, ms->l1(tile), _stats));
+        cores.back()->setLane(cfg.laneOf(tile));
         cores.back()->setSyncUnit(syncUnit.get());
     }
 
@@ -114,8 +93,7 @@ System::System(const SystemConfig &cfg_in) : cfg(cfg_in)
             eq, cfg.resil, cfg.numCores, _stats,
             [this](std::shared_ptr<noc::Packet> p) {
                 ms->sendDirect(std::move(p));
-            },
-            &rt);
+            });
         ms->setSendInterceptor([this](
                 const std::shared_ptr<noc::Packet> &p) {
             return injector->intercept(p);
@@ -166,9 +144,9 @@ System::System(const SystemConfig &cfg_in) : cfg(cfg_in)
 
     if (cfg.resil.watchdogInterval > 0) {
         wdog = std::make_unique<resil::Watchdog>(
-            eq, cfg.resil.watchdogInterval, _stats, cfg.numThreads());
-        for (CoreId c = 0; c < cores.size(); ++c)
-            cores[c]->setProgressCell(wdog->progressCell(c));
+            eq, cfg.resil.watchdogInterval, _stats);
+        for (auto &c : cores)
+            c->setProgressCell(wdog->progressCell());
         wdog->setReportFn([this] { return buildStallReport(); });
         wdog->setDoneFn([this] { return allFinished(); });
         wdog->start();
@@ -210,9 +188,9 @@ System::System(const SystemConfig &cfg_in) : cfg(cfg_in)
             // degraded mesh are progress: merely-detoured traffic
             // must not be classified as deadlock.
             wdog->setAuxProgressFn([this] {
-                return liveCounterSum("noc.packetsRecv") +
-                       liveCounterSum("noc.flitsDropped") +
-                       liveCounterSum("noc.rel.retransmits");
+                return _stats.counterValue("noc.packetsRecv") +
+                       _stats.counterValue("noc.flitsDropped") +
+                       _stats.counterValue("noc.rel.retransmits");
             });
         }
     }
@@ -338,12 +316,12 @@ System::applyObservability()
         _sampler = std::make_unique<obs::StatSampler>(eq, o.sampleInterval);
         auto cnt = [this](const char *name) {
             return [this, name] {
-                return static_cast<double>(liveCounterSum(name));
+                return static_cast<double>(_stats.counterValue(name));
             };
         };
         auto pooled = [this](const char *suffix) {
             return [this, suffix] {
-                return static_cast<double>(liveSuffixSum(suffix));
+                return static_cast<double>(_stats.sumCountersSuffix(suffix));
             };
         };
         _sampler->addProbe("syncHwOps", cnt("sync.hwOps"));
@@ -376,78 +354,22 @@ System::allFinished() const
 RunOutcome
 System::runDetailed(Tick limit)
 {
-    RunOutcome o;
-    if (cfg.simThreads > 1) {
-        std::vector<EventQueue *> pq;
-        for (auto &q : partQueues)
-            pq.push_back(q.get());
-        ParallelEngine engine(eq, std::move(pq), laneToPart);
-        o = runLoop(limit, &engine);
-    } else {
-        o = runLoop(limit, nullptr);
-    }
-    mergeShards();
-    return o;
-}
-
-void
-System::mergeShards()
-{
-    // Order-independent fold (counters add, averages fold moments,
-    // histograms add bucket-wise), so totals match a serial run no
-    // matter how tiles were partitioned. Shards reset afterwards:
-    // a later runDetailed() merge must not double-count.
-    for (auto &s : statShards) {
-        _stats.mergeFrom(*s);
-        s->reset();
-    }
-}
-
-std::uint64_t
-System::liveCounterSum(const std::string &name) const
-{
-    std::uint64_t v = _stats.counterValue(name);
-    for (const auto &s : statShards)
-        v += s->counterValue(name);
-    return v;
-}
-
-std::uint64_t
-System::liveSuffixSum(const std::string &suffix) const
-{
-    std::uint64_t v = _stats.sumCountersSuffix(suffix);
-    for (const auto &s : statShards)
-        v += s->sumCountersSuffix(suffix);
-    return v;
-}
-
-RunOutcome
-System::runLoop(Tick limit, ParallelEngine *engine)
-{
     // Run in slices so we can stop as soon as all threads are done
-    // (background NoC/coherence events may still be queued). Both
-    // kernels stop at the same chunk boundaries with the same checks:
-    // that is what keeps `--threads N` stats-identical to 1.
+    // (background NoC/coherence events may still be queued).
     const Tick chunk = 10000;
     const Tick start = eq.now();
     const Tick deadline = (limit == maxTick) ? maxTick : start + limit;
     for (;;) {
         Tick until = (deadline - eq.now() < chunk) ? deadline
                                                    : eq.now() + chunk;
-        if (engine)
-            engine->runUntil(until);
-        else
-            eq.runUntil(until);
+        eq.runUntil(until);
         if (allFinished()) {
             if (checker) {
                 // Settle in-flight background traffic so the strict
                 // end-state checks see a quiesced system. Safe: the
                 // interrupt driver, watchdog, and checker all stop
                 // once every thread has finished.
-                if (engine)
-                    engine->drainAll();
-                else
-                    eq.run();
+                eq.run();
                 checker->atQuiesce();
             }
             return RunOutcome::Finished;
@@ -458,7 +380,7 @@ System::runLoop(Tick limit, ParallelEngine *engine)
             (wdog ? wdog->pendingMaintenance() : 0u) +
             (checker ? checker->pendingMaintenance() : 0u) +
             (_sampler ? _sampler->pendingMaintenance() : 0u);
-        if ((engine ? engine->pending() : eq.pending()) <= maint) {
+        if (eq.pending() <= maint) {
             warn("event queue drained with threads still blocked "
                  "(deadlock) at tick %llu",
                  static_cast<unsigned long long>(eq.now()));
@@ -477,23 +399,6 @@ System::makespan() const
     for (auto &c : cores)
         m = std::max(m, c->finishTick());
     return m;
-}
-
-EventQueue::PoolStats
-System::eventStats() const
-{
-    EventQueue::PoolStats sum = eq.poolStats();
-    for (const auto &q : partQueues) {
-        const EventQueue::PoolStats &p = q->poolStats();
-        sum.executed += p.executed;
-        sum.scheduled += p.scheduled;
-        sum.recordCapacity += p.recordCapacity;
-        sum.chunkAllocs += p.chunkAllocs;
-        sum.heapCallbacks += p.heapCallbacks;
-        sum.maxPending += p.maxPending;
-        sum.laneSorts += p.laneSorts;
-    }
-    return sum;
 }
 
 void
@@ -674,8 +579,8 @@ System::buildStallReport() const
 double
 System::hwCoverage() const
 {
-    double hw = static_cast<double>(liveCounterSum("sync.hwOps"));
-    double sw = static_cast<double>(liveCounterSum("sync.swOps"));
+    double hw = static_cast<double>(_stats.counterValue("sync.hwOps"));
+    double sw = static_cast<double>(_stats.counterValue("sync.swOps"));
     return (hw + sw) > 0 ? hw / (hw + sw) : 0.0;
 }
 

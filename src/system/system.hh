@@ -30,12 +30,8 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
-#include "sim/tile_runtime.hh"
 
 namespace misar {
-
-class ParallelEngine;
-
 namespace sys {
 
 /** How a run() ended. */
@@ -97,20 +93,6 @@ class System
     msa::MsaSlice &msaSlice(CoreId t) { return *slices[t]; }
     mem::MemSystem &mem() { return *ms; }
     EventQueue &eventQueue() { return eq; }
-
-    /**
-     * Event-kernel counters of the whole run: the global queue's
-     * plus, under `--threads N`, every partition queue's, summed
-     * field by field (the global queue alone holds no tile events
-     * then). Each event is scheduled and executed on exactly one
-     * queue, so `executed` and `scheduled` equal the serial run's.
-     * `maxPending` becomes the sum of each queue's own high-water
-     * mark: an upper bound on the events queued at once, since the
-     * queues peak at different ticks. Mail in flight between
-     * partitions sits in no queue and is not counted.
-     */
-    EventQueue::PoolStats eventStats() const;
-
     StatRegistry &stats() { return _stats; }
     const SystemConfig &config() const { return cfg; }
     unsigned numCores() const { return cfg.numCores; }
@@ -163,18 +145,6 @@ class System
     double hwCoverage() const;
 
     /**
-     * @name Mid-run stat reads. Under `--threads N` per-tile counts
-     * live in shards until the run ends; these sum the global
-     * registry plus every live shard. Master-lane only (samplers,
-     * watchdog aux progress) — the workers are parked whenever
-     * lane-0 code runs.
-     * @{
-     */
-    std::uint64_t liveCounterSum(const std::string &name) const;
-    std::uint64_t liveSuffixSum(const std::string &suffix) const;
-    /** @} */
-
-    /**
      * Write the multi-component trace (cores + MSA slices + NoC, with
      * sync flows) as Chrome trace-event JSON; nothing unless
      * cfg.obs.traceEnabled.
@@ -194,25 +164,9 @@ class System
     /** Construct + wire cfg.obs-enabled components (ctor tail). */
     void applyObservability();
 
-    /** The run loop: @p engine advances time under `--threads N`
-     *  (PDES over cfg.simThreads partitions); null runs the serial
-     *  queue. */
-    RunOutcome runLoop(Tick limit, ParallelEngine *engine);
-
-    /** Fold per-tile stat shards into _stats (end of a run). */
-    void mergeShards();
-
     SystemConfig cfg;
     EventQueue eq;
     StatRegistry _stats;
-    /** One queue per `--threads` partition (empty when serial). */
-    std::vector<std::unique_ptr<EventQueue>> partQueues;
-    /** One stat shard per tile (empty unless threads > 1). */
-    std::vector<std::unique_ptr<StatRegistry>> statShards;
-    /** Partition index per lane (lane 0 -> simThreads = global). */
-    std::vector<unsigned> laneToPart;
-    /** Tile -> queue/shard/lane routing handed to every component. */
-    TileRuntime rt;
     std::unique_ptr<mem::MemSystem> ms;
     std::vector<std::unique_ptr<cpu::Core>> cores;
     std::vector<std::unique_ptr<msa::MsaSlice>> slices;

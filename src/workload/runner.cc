@@ -79,7 +79,7 @@ writeObsOutputs(sys::System &s, const AppSpec &spec,
     meta.hwCoverage = r.hwCoverage;
     std::ostringstream os;
     obs::writeRunReport(os, meta, s.stats(), s.syncProfiler(),
-                        o.profileTopN, s.sampler(), s.eventStats(),
+                        o.profileTopN, s.sampler(), &s.eventQueue(),
                         s.monitor(), server);
     const std::string text = os.str();
     // Durable (fsync'd) so a panic in a later run of the same

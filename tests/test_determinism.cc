@@ -34,31 +34,22 @@ struct RunSnapshot
     std::string statsDump; ///< full StatRegistry text dump
     std::string profJson;  ///< sync-profiler top-N JSON
     Tick makespan = 0;
-    std::uint64_t executed = 0;  ///< summed over every queue
-    std::uint64_t laneSorts = 0; ///< lane chains re-sorted by sender key
+    std::uint64_t executed = 0; ///< events the queue ran
 };
 
 /**
- * One full run of @p app on preset @p pc; returns its fingerprint.
- * @p threads is the simulation kernel's host thread count; @p profile
- * arms the sync profiler (serial-only — the threaded kernel rejects
- * it, and cross-thread-count comparisons must configure both sides
- * identically). A non-zero @p split stops the run there first and
- * then resumes it, so the stat shards are merged twice. A non-zero
- * @p sampleInterval arms the stat sampler. Every serial run also
- * checks that no lane chain was re-sorted.
+ * One full run of @p app on preset @p pc, with the sync profiler
+ * armed; returns its fingerprint. A non-zero @p split stops the run
+ * there first and then resumes it.
  */
 RunSnapshot
 runOnceSpec(sys::PaperConfig pc, unsigned cores,
             const workload::AppSpec &spec, std::uint64_t seed,
-            unsigned threads = 1, bool profile = true, Tick split = 0,
-            Tick sampleInterval = 0)
+            Tick split = 0)
 {
     SystemConfig cfg = sys::configFor(pc, cores);
     cfg.seed = seed;
-    cfg.simThreads = threads;
-    cfg.obs.profileSync = profile;
-    cfg.obs.sampleInterval = sampleInterval;
+    cfg.obs.profileSync = true;
     sys::System s(cfg);
     sync::SyncLib lib(sys::flavorFor(pc), cores);
     if (cfg.resil.coreFaultsEnabled())
@@ -88,24 +79,15 @@ runOnceSpec(sys::PaperConfig pc, unsigned cores,
         snap.profJson = prof_os.str();
     }
     snap.makespan = s.eventQueue().now();
-    const EventQueue::PoolStats events = s.eventStats();
-    snap.executed = events.executed;
-    snap.laneSorts = events.laneSorts;
-    // A serial run appends every event in sender-key order, so no
-    // lane chain ever needs a sort; only cross-partition mail can
-    // arrive out of order.
-    if (threads <= 1) {
-        EXPECT_EQ(snap.laneSorts, 0u) << "serial run re-sorted a lane";
-    }
+    snap.executed = s.eventQueue().executedEvents();
     return snap;
 }
 
 RunSnapshot
 runOnce(sys::PaperConfig pc, unsigned cores, const char *app,
-        std::uint64_t seed, unsigned threads = 1, bool profile = true)
+        std::uint64_t seed)
 {
-    return runOnceSpec(pc, cores, workload::appByName(app), seed,
-                       threads, profile);
+    return runOnceSpec(pc, cores, workload::appByName(app), seed);
 }
 
 /** server-poisson past the knee with SLO admission + budgeted
@@ -179,99 +161,6 @@ TEST(Determinism, ServerCoreFaultsTwoRunsBitIdentical)
                         "server-poisson");
 }
 
-/**
- * `--threads 1` runs the serial kernel itself — same code path, no
- * engine — so its stats dump is bit-identical to a run that never
- * mentioned threads. This pins the CLI contract on the existing
- * preset x app matrix.
- */
-void
-expectThreadsOneIsSerial(sys::PaperConfig pc, unsigned cores,
-                         const char *app)
-{
-    RunSnapshot serial = runOnce(pc, cores, app, 7);
-    RunSnapshot t1 = runOnce(pc, cores, app, 7, /*threads=*/1);
-    EXPECT_EQ(serial.makespan, t1.makespan);
-    EXPECT_EQ(serial.executed, t1.executed);
-    EXPECT_EQ(serial.statsDump, t1.statsDump);
-    EXPECT_EQ(serial.profJson, t1.profJson);
-}
-
-TEST(Determinism, ThreadsOneBitIdenticalToSerialKernel)
-{
-    expectThreadsOneIsSerial(sys::PaperConfig::MsaOmu2, 16, "radiosity");
-    expectThreadsOneIsSerial(sys::PaperConfig::MsaOmu2Faults, 16,
-                             "radiosity");
-    expectThreadsOneIsSerial(sys::PaperConfig::MsaOmu2NocFaults, 16,
-                             "radiosity");
-    expectThreadsOneIsSerial(sys::PaperConfig::MsaOmu2CoreFaults, 16,
-                             "radiosity");
-}
-
-/**
- * The PDES contract: for any N, the threaded kernel executes the
- * same trajectory, so the merged statistics registry and the final
- * clock must match `--threads 1` exactly. (The profiler stays off on
- * both sides: it is serial-only.)
- */
-void
-expectStatsIdenticalAcrossThreads(sys::PaperConfig pc, unsigned cores,
-                                  const char *app)
-{
-    RunSnapshot t1 = runOnce(pc, cores, app, 7, 1, /*profile=*/false);
-    EXPECT_FALSE(t1.statsDump.empty());
-    for (unsigned n : {2u, 4u}) {
-        RunSnapshot tn = runOnce(pc, cores, app, 7, n, false);
-        EXPECT_EQ(t1.makespan, tn.makespan) << "threads=" << n;
-        EXPECT_EQ(t1.executed, tn.executed) << "threads=" << n;
-        EXPECT_EQ(t1.statsDump, tn.statsDump) << "threads=" << n;
-    }
-}
-
-TEST(Determinism, Msa16StatsIdenticalAcrossThreadCounts)
-{
-    expectStatsIdenticalAcrossThreads(sys::PaperConfig::MsaOmu2, 16,
-                                      "radiosity");
-}
-
-TEST(Determinism, Msa64StatsIdenticalAcrossThreadCounts)
-{
-    expectStatsIdenticalAcrossThreads(sys::PaperConfig::MsaOmu2, 64,
-                                      "radiosity");
-}
-
-TEST(Determinism, FaultedStatsIdenticalAcrossThreadCounts)
-{
-    // Message faults + a mid-run slice decommission: the injector
-    // runs on the master lane and reaches into tiles; retry/timeout
-    // schedules are the easiest to perturb, so this is the sharpest
-    // cross-thread-count probe.
-    expectStatsIdenticalAcrossThreads(sys::PaperConfig::MsaOmu2Faults,
-                                      16, "radiosity");
-}
-
-TEST(Determinism, ServerStatsIdenticalAcrossThreadCounts)
-{
-    // Host-side server recording is per-core slots merged in core
-    // order, so the threaded kernel must reproduce the serial stats
-    // dump exactly — any cross-core mutable host state would show
-    // up here as a diverging srv counter.
-    expectStatsIdenticalAcrossThreads(sys::PaperConfig::MsaOmu2, 16,
-                                      "server-poisson");
-}
-
-TEST(Determinism, McsTourStatsIdenticalAcrossThreadCounts)
-{
-    // Regression test for the sync-library aux allocator hazard: the
-    // MCS/tournament software algorithms lean on per-object auxiliary
-    // memory, whose addresses are now a pure function of the object
-    // (a first-use bump allocator raced across partitions and handed
-    // out interleaving-dependent addresses). The CI TSan job runs
-    // this under -fsanitize=thread.
-    expectStatsIdenticalAcrossThreads(sys::PaperConfig::McsTour, 16,
-                                      "radiosity");
-}
-
 TEST(Determinism, ServerRetryTwoRunsBitIdentical)
 {
     // SLO shedding + budgeted retries: backoff jitter and the retry
@@ -288,64 +177,21 @@ TEST(Determinism, ServerRetryTwoRunsBitIdentical)
     EXPECT_EQ(a.profJson, b.profJson);
 }
 
-TEST(Determinism, ServerRetryStatsIdenticalAcrossThreadCounts)
+TEST(Determinism, SplitRunMatchesUninterrupted)
 {
-    // Retry state (heaps, token bucket, EWMA words) must not leak
-    // host scheduling into the run: `--threads 2` merges to the same
-    // stats dump as the serial kernel.
-    workload::AppSpec spec = retryingServerSpec();
-    RunSnapshot t1 = runOnceSpec(sys::PaperConfig::MsaOmu2, 16, spec,
-                                 7, 1, /*profile=*/false);
-    EXPECT_FALSE(t1.statsDump.empty());
-    RunSnapshot t2 = runOnceSpec(sys::PaperConfig::MsaOmu2, 16, spec,
-                                 7, 2, false);
-    EXPECT_EQ(t1.makespan, t2.makespan);
-    EXPECT_EQ(t1.statsDump, t2.statsDump);
-}
-
-TEST(Determinism, SplitThreadedRunMatchesSerial)
-{
-    // A threaded run stopped at a tick limit and resumed must replay
-    // the serial run: the engine files its in-flight cross-partition
-    // mail into the queues when it shuts down, and stat handles keep
-    // their shard entries across the merge and reset that end each
-    // runDetailed().
+    // A run stopped at a tick limit and resumed must replay the
+    // uninterrupted run. The split is a multiple of runDetailed()'s
+    // 10,000-tick chunk, so both runs check for completion at the
+    // same ticks.
     const workload::AppSpec &spec = workload::appByName("radiosity");
-    RunSnapshot serial = runOnceSpec(sys::PaperConfig::MsaOmu2, 16, spec,
-                                     7, 1, /*profile=*/false);
-    RunSnapshot split = runOnceSpec(sys::PaperConfig::MsaOmu2, 16, spec,
-                                    7, 4, false, /*split=*/20000);
-    EXPECT_EQ(serial.makespan, split.makespan);
-    EXPECT_EQ(serial.statsDump, split.statsDump);
-}
-
-TEST(Determinism, ThreadedRunsAreRunToRunDeterministic)
-{
-    // Fixed N must also be repeatable against itself (mailbox drain
-    // order, not host scheduling, decides the merge).
-    RunSnapshot a = runOnce(sys::PaperConfig::MsaOmu2, 16, "radiosity",
-                            7, 4, false);
-    RunSnapshot b = runOnce(sys::PaperConfig::MsaOmu2, 16, "radiosity",
-                            7, 4, false);
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.statsDump, b.statsDump);
-    EXPECT_FALSE(a.statsDump.empty());
-}
-
-TEST(Determinism, SerialRunsNeverResortALane)
-{
-    // runOnceSpec checks laneSorts == 0 on every serial run above;
-    // these add a global-lane timer on top of the tile traffic (the
-    // stat sampler) and the pure-software path (pthread baseline:
-    // atomics and spinning loads, no MSA).
-    const workload::AppSpec &radiosity = workload::appByName("radiosity");
-    EXPECT_GT(runOnceSpec(sys::PaperConfig::MsaOmu2, 16, radiosity, 7, 1,
-                          false, 0, /*sampleInterval=*/1000)
-                  .executed,
-              0u);
-    EXPECT_GT(runOnce(sys::PaperConfig::Baseline, 16, "raytrace", 7)
-                  .executed,
-              0u);
+    RunSnapshot whole = runOnceSpec(sys::PaperConfig::MsaOmu2, 16, spec, 7);
+    RunSnapshot split = runOnceSpec(sys::PaperConfig::MsaOmu2, 16, spec, 7,
+                                    /*split=*/20000);
+    EXPECT_EQ(whole.makespan, split.makespan);
+    EXPECT_EQ(whole.executed, split.executed);
+    EXPECT_EQ(whole.statsDump, split.statsDump);
+    EXPECT_FALSE(whole.statsDump.empty());
+    EXPECT_EQ(whole.profJson, split.profJson);
 }
 
 TEST(Determinism, DifferentSeedsActuallyDiffer)

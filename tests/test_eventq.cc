@@ -246,18 +246,15 @@ TEST(EventQueueCalendar, MaxPendingHighWaterMark)
 /**
  * A seeded random multi-lane schedule checked against a reference
  * model: the kernel must execute exactly in ascending (tick, lane,
- * sendTick, senderLane, issue order), whichever level each event
- * waited in. Callbacks schedule follow-ups across every boundary of
- * the near window, the ring and the overflow heap; waves are
- * separated by idle gaps longer than the ring; the loop stops the
- * drain with runUntil() and drain limits, and jumps the clock with
- * advanceTo() before filing events due that very tick. With
- * @p foreign, some events arrive through insertForeign() with an
- * earlier sendTick, as cross-partition mail does; without, no lane
- * chain may ever need a sort.
+ * issue order), whichever level each event waited in. Callbacks
+ * schedule follow-ups across every boundary of the near window, the
+ * ring and the overflow heap; waves are separated by idle gaps longer
+ * than the ring; the loop stops the drain with runUntil() and drain
+ * limits, and moves the clock past idle ticks with runUntil() before
+ * filing events due that very tick from outside a drain.
  */
 void
-expectReferenceOrder(std::uint64_t seed, bool foreign)
+expectReferenceOrder(std::uint64_t seed)
 {
     constexpr LaneId numLanes = 5;
     EventQueue eq;
@@ -267,8 +264,6 @@ expectReferenceOrder(std::uint64_t seed, bool foreign)
     {
         Tick when;
         LaneId lane;
-        Tick sendTick;
-        LaneId senderLane;
         std::size_t id; ///< issue order
     };
     std::vector<Key> issued;
@@ -296,8 +291,7 @@ expectReferenceOrder(std::uint64_t seed, bool foreign)
     std::function<void(std::size_t)> body;
     auto issue = [&](LaneId lane, Tick delay) {
         const std::size_t id = issued.size();
-        issued.push_back(
-            {eq.now() + delay, lane, eq.now(), eq.currentLane(), id});
+        issued.push_back({eq.now() + delay, lane, id});
         eq.scheduleL(lane, delay, [&body, id] { body(id); });
     };
     body = [&](std::size_t id) {
@@ -316,7 +310,6 @@ expectReferenceOrder(std::uint64_t seed, bool foreign)
         }
     };
 
-    std::size_t foreignCount = 0;
     for (int wave = 0; wave < 10; ++wave) {
         spawnBudget = 3000;
         const Tick gap = 2 * ringWindow + rnd(ringWindow);
@@ -332,35 +325,21 @@ expectReferenceOrder(std::uint64_t seed, bool foreign)
                 eq.run(rnd(2 * ringWindow));
                 continue;
             }
-            // Align the clock forward as the parallel engine does;
-            // once it moved, the new tick has not run, so events may
-            // be filed for it from outside a drain.
-            const Tick before = eq.now();
-            eq.advanceTo(std::min(eq.nextEventTick(),
-                                  before + 1 + rnd(20)));
-            const Tick first = eq.now() + (eq.now() > before ? 0 : 1);
+            // Move the clock forward; when nothing was due up to the
+            // new tick, that tick has not run, so events may be filed
+            // for it from outside a drain.
+            const Tick to = eq.now() + 1 + rnd(20);
+            const bool idle = eq.nextEventTick() > to;
+            eq.runUntil(to);
             issue(static_cast<LaneId>(rnd(numLanes)),
-                  first - eq.now() + pickDelay());
-            if (!foreign || rnd(2))
-                continue;
-            for (std::uint64_t n = 1 + rnd(3); n > 0; --n) {
-                const std::size_t id = issued.size();
-                const Key k{first + pickDelay(),
-                            static_cast<LaneId>(rnd(numLanes)),
-                            eq.now() - 1 - rnd(std::min<Tick>(eq.now(), 6)),
-                            static_cast<LaneId>(rnd(numLanes)), id};
-                issued.push_back(k);
-                eq.insertForeign(k.lane, k.when, k.sendTick, k.senderLane,
-                                 [&body, id] { body(id); });
-                ++foreignCount;
-            }
+                  (idle ? 0 : 1) + pickDelay());
         }
     }
 
     std::vector<Key> want = issued;
     std::sort(want.begin(), want.end(), [](const Key &a, const Key &b) {
-        return std::tie(a.when, a.lane, a.sendTick, a.senderLane, a.id) <
-               std::tie(b.when, b.lane, b.sendTick, b.senderLane, b.id);
+        return std::tie(a.when, a.lane, a.id) <
+               std::tie(b.when, b.lane, b.id);
     });
     std::vector<std::size_t> wantIds;
     for (const Key &k : want)
@@ -369,24 +348,12 @@ expectReferenceOrder(std::uint64_t seed, bool foreign)
     EXPECT_EQ(fired, wantIds);
     EXPECT_EQ(eq.executedEvents(), issued.size());
     EXPECT_EQ(eq.poolStats().scheduled, issued.size());
-    if (foreign) {
-        EXPECT_GT(foreignCount, 0u);
-        EXPECT_GT(eq.poolStats().laneSorts, 0u); // the merge path ran
-    } else {
-        EXPECT_EQ(eq.poolStats().laneSorts, 0u);
-    }
 }
 
 TEST(EventQueueOrder, LanesMatchReferenceModel)
 {
     for (std::uint64_t seed : {1u, 2u, 3u})
-        expectReferenceOrder(seed, /*foreign=*/false);
-}
-
-TEST(EventQueueOrder, ForeignInsertsMatchReferenceModel)
-{
-    for (std::uint64_t seed : {4u, 5u, 6u})
-        expectReferenceOrder(seed, /*foreign=*/true);
+        expectReferenceOrder(seed);
 }
 
 // ---------------------------------------------------------------------

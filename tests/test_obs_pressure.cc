@@ -521,7 +521,7 @@ TEST(RunReportV2, StrictSupersetOfV1WithLatencyAndHeatmap)
     meta.hwCoverage = 0.5;
     std::ostringstream os;
     obs::writeRunReport(os, meta, s->stats(), s->syncProfiler(), 8,
-                        s->sampler(), s->eventStats(), s->monitor());
+                        s->sampler(), &s->eventQueue(), s->monitor());
     const util::Json r = parsed(os.str());
 
     EXPECT_EQ(r.at("schemaVersion").uintOr(0), 4u);
@@ -617,6 +617,8 @@ TEST(ObsCli, BadTopAndSampleIntervalAreRejected)
         {"--app fft --cores 4294967312", "--cores 4294967312 is out of"},
         {"--app fft --smt 2x", "--smt expects a positive"},
         {"--app fft --seed 7abc", "--seed expects a decimal"},
+        // A removed flag is refused, not ignored.
+        {"--app fft --threads 2", "unknown option --threads"},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.args);

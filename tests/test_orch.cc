@@ -184,6 +184,11 @@ TEST(OrchSpec, ValidateCatchesBadInput)
     spec = smokeSpec();
     spec.baseline = "nope";
     EXPECT_NE(spec.validate().find("baseline"), std::string::npos);
+
+    // A repeated stats name would write its report column twice.
+    spec = smokeSpec();
+    spec.stats = {"sync.hwOps", "sync.hwOps"};
+    EXPECT_EQ(spec.validate(), "duplicate stats name 'sync.hwOps'");
 }
 
 TEST(OrchSpec, RejectsUnknownKeysAndWrongTypes)
@@ -223,8 +228,8 @@ TEST(OrchSpec, RejectsUnknownKeysAndWrongTypes)
          "\"presets[0].omu\" must be true or false"},
         {preset(R"("smt": -1)"), "",
          "\"presets[0].smt\" must be a non-negative integer"},
-        {preset(R"("threads": "4")"), "",
-         "\"presets[0].threads\" must be a non-negative integer"},
+        {preset(R"("threads": 4)"), "",
+         "unknown preset key 'threads'"},
         {preset(R"("seeds": [1, "2"])"), "",
          "\"presets[0].seeds\" must be an array of non-negative integers"},
         {R"("baseline", {"name": 3, "config": "msa-omu"})", "",
@@ -637,8 +642,6 @@ simFlags(const CampaignSpec &spec, const JobSpec &j)
        << " --seed " << j.seed << " --tick-limit " << spec.tickLimit;
     if (j.preset.smt != 1)
         os << " --smt " << j.preset.smt;
-    if (j.preset.threads != 1)
-        os << " --threads " << j.preset.threads;
     if (!j.preset.hwsync)
         os << " --no-hwsync";
     if (!j.preset.omu)

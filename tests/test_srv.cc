@@ -275,25 +275,6 @@ TEST(ServerRun, TwoRunsAtFixedSeedAreBitIdentical)
     expectServerEq(a.server, b.server);
 }
 
-TEST(ServerRun, StatsIdenticalAcrossKernelThreadCounts)
-{
-    const workload::AppSpec &spec = workload::appByName("server-poisson");
-    sync::SyncLib::Flavor fl = sys::flavorFor(sys::PaperConfig::MsaOmu2);
-    workload::RunResult runs[2];
-    for (unsigned i = 0; i < 2; ++i) {
-        SystemConfig cfg = sys::configFor(sys::PaperConfig::MsaOmu2, 16);
-        cfg.simThreads = i + 1;
-        workload::RunResult r =
-            workload::runAppWithConfig(spec, cfg, fl, 7);
-        ASSERT_TRUE(r.finished) << "threads=" << i + 1;
-        runs[i] = std::move(r);
-    }
-    EXPECT_EQ(runs[0].makespan, runs[1].makespan);
-    EXPECT_EQ(runs[0].hwOps, runs[1].hwOps);
-    EXPECT_EQ(runs[0].swOps, runs[1].swOps);
-    expectServerEq(runs[0].server, runs[1].server);
-}
-
 TEST(ServerRun, CoreFaultsNeverLoseRequests)
 {
     // A core dies mid-run: its in-flight request may be stranded, but
