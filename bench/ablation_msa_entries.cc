@@ -8,19 +8,17 @@
 
 #include <cstdio>
 
-#include "bench/bench_util.hh"
-#include "sim/logging.hh"
+#include "bench/repro.hh"
 #include "workload/app_catalog.hh"
-#include "workload/runner.hh"
 
 using namespace misar;
+using namespace misar::bench;
 using namespace misar::workload;
 
 int
-main()
+bench::ablationMsaEntries(Runner &run)
 {
-    setVerbose(false);
-    bench::banner("Ablation", "MSA entries per tile (64 cores)");
+    banner("Ablation", "MSA entries per tile (64 cores)");
 
     std::printf("%-10s %12s %12s\n", "Entries", "GeoMeanSpdup",
                 "MeanCoverage");
@@ -38,21 +36,20 @@ main()
         unsigned n = 0;
         for (const auto &name : headlineApps()) {
             const AppSpec &spec = appByName(name);
-            RunResult base = runApp(spec, cores,
-                                    sys::PaperConfig::Baseline);
-            RunResult r = runAppWithConfig(spec, cfg,
-                                           sync::SyncLib::Flavor::Hw);
+            const JobResult &base =
+                run({spec, makeConfig(cores, AccelMode::None),
+                     sync::SyncLib::Flavor::PthreadSw});
+            const JobResult &r = run({spec, cfg});
             sp.push_back(static_cast<double>(base.makespan) /
                          r.makespan);
-            cov += r.hwCoverage;
+            cov += r.hwCoverage();
             ++n;
         }
         if (label)
             std::printf("%-10s", label);
         else
             std::printf("%-10u", cfg.msa.msaEntries);
-        std::printf(" %11.2fx %11.1f%%\n", bench::geoMean(sp),
-                    100.0 * cov / n);
+        std::printf(" %11.2fx %11.1f%%\n", geoMean(sp), 100.0 * cov / n);
     }
     std::printf("\nExpected: saturation by 2 entries (the paper's "
                 "minimalism claim).\n");

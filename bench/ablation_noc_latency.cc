@@ -8,19 +8,17 @@
 
 #include <cstdio>
 
-#include "bench/bench_util.hh"
-#include "sim/logging.hh"
+#include "bench/repro.hh"
 #include "workload/app_catalog.hh"
-#include "workload/runner.hh"
 
 using namespace misar;
+using namespace misar::bench;
 using namespace misar::workload;
 
 int
-main()
+bench::ablationNocLatency(Runner &run)
 {
-    setVerbose(false);
-    bench::banner("Ablation", "Router pipeline latency (64 cores)");
+    banner("Ablation", "Router pipeline latency (64 cores)");
 
     const unsigned cores = 64;
     std::printf("%-14s %14s %16s\n", "RouterCycles", "radiosity",
@@ -34,10 +32,9 @@ main()
             base_cfg.noc.routerLatency = rl;
             SystemConfig msa_cfg = makeConfig(cores, AccelMode::MsaOmu, 2);
             msa_cfg.noc.routerLatency = rl;
-            RunResult base = runAppWithConfig(
-                spec, base_cfg, sync::SyncLib::Flavor::PthreadSw);
-            RunResult msa = runAppWithConfig(spec, msa_cfg,
-                                             sync::SyncLib::Flavor::Hw);
+            const JobResult &base = run(
+                {spec, base_cfg, sync::SyncLib::Flavor::PthreadSw});
+            const JobResult &msa = run({spec, msa_cfg});
             std::printf("         %5.2fx",
                         static_cast<double>(base.makespan) /
                             msa.makespan);

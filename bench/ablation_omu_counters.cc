@@ -8,19 +8,18 @@
 
 #include <cstdio>
 
-#include "bench/bench_util.hh"
+#include "bench/repro.hh"
 #include "sim/logging.hh"
 #include "workload/app_catalog.hh"
-#include "workload/runner.hh"
 
 using namespace misar;
+using namespace misar::bench;
 using namespace misar::workload;
 
 int
-main()
+bench::ablationOmuCounters(Runner &run)
 {
-    setVerbose(false);
-    bench::banner("Ablation", "OMU counters per tile (64 cores)");
+    banner("Ablation", "OMU counters per tile (64 cores)");
 
     const unsigned cores = 64;
     const char *apps[] = {"radiosity", "fluidanimate", "cholesky",
@@ -34,15 +33,13 @@ main()
     for (unsigned counters : {1u, 2u, 4u, 8u, 16u}) {
         std::printf("%-10u", counters);
         for (const char *name : apps) {
-            const AppSpec &spec = appByName(name);
             SystemConfig cfg = makeConfig(cores, AccelMode::MsaOmu, 2);
             cfg.msa.omuCounters = counters;
-            RunResult r = runAppWithConfig(spec, cfg,
-                                           sync::SyncLib::Flavor::Hw);
+            const JobResult &r = run({appByName(name), cfg});
             if (!r.finished)
                 fatal("%s did not finish with %u counters", name,
                       counters);
-            std::printf("   %5.1f%% cov", 100.0 * r.hwCoverage);
+            std::printf("   %5.1f%% cov", 100.0 * r.hwCoverage());
         }
         std::printf("\n");
     }

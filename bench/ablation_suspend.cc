@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "bench/bench_util.hh"
+#include "bench/repro.hh"
 #include "sim/logging.hh"
 #include "sync/sync_lib.hh"
 #include "system/interrupt_driver.hh"
@@ -50,12 +50,11 @@ run(const AppSpec &spec, unsigned cores, Tick irq_period, bool opt,
 } // namespace
 
 int
-main()
+bench::ablationSuspend()
 {
-    setVerbose(false);
-    bench::banner("Ablation",
-                  "barrier suspension policy under interrupts "
-                  "(streamcluster, 16 cores)");
+    banner("Ablation",
+           "barrier suspension policy under interrupts "
+           "(streamcluster, 16 cores)");
 
     const AppSpec &spec = appByName("streamcluster");
     std::printf("%-14s %16s %18s %12s %12s\n", "IRQ period",

@@ -8,73 +8,39 @@
 
 #include <cstdio>
 
-#include "bench/bench_util.hh"
-#include "sim/logging.hh"
+#include "bench/repro.hh"
 #include "sync/sync_lib.hh"
-#include "system/system.hh"
 #include "workload/microbench.hh"
 
 using namespace misar;
 using workload::RawLatencies;
 
-namespace {
-
-/** Like measureRawLatency but with an explicit library flavor. */
-RawLatencies
-measureFlavor(unsigned cores, sync::SyncLib::Flavor flavor)
-{
-    // Reuse the paper-config machinery: only the library differs.
-    switch (flavor) {
-      case sync::SyncLib::Flavor::PthreadSw:
-        return workload::measureRawLatency(cores,
-                                           sys::PaperConfig::Baseline);
-      case sync::SyncLib::Flavor::SpinSw:
-        return workload::measureRawLatency(cores,
-                                           sys::PaperConfig::Spinlock);
-      case sync::SyncLib::Flavor::McsTourSw:
-        return workload::measureRawLatency(cores,
-                                           sys::PaperConfig::McsTour);
-      default:
-        return workload::measureRawLatency(cores,
-                                           sys::PaperConfig::MsaOmu2);
-    }
-}
-
-} // namespace
-
 int
-main()
+bench::ablationSwAlgos()
 {
-    setVerbose(false);
-    bench::banner("Ablation",
-                  "software algorithms vs the MSA (64 cores)");
+    banner("Ablation",
+           "software algorithms vs the MSA (64 cores)");
 
-    // Ticket/dissemination need a direct run (no PaperConfig alias).
     using F = sync::SyncLib::Flavor;
     struct Row
     {
         const char *name;
         F flavor;
+        AccelMode mode;
     };
     const Row rows[] = {
-        {"pthread", F::PthreadSw},       {"spinlock", F::SpinSw},
-        {"MCS-Tour", F::McsTourSw},      {"Ticket-Dissem",
-                                          F::TicketDissemSw},
-        {"MSA/OMU-2", F::Hw},
+        {"pthread", F::PthreadSw, AccelMode::None},
+        {"spinlock", F::SpinSw, AccelMode::None},
+        {"MCS-Tour", F::McsTourSw, AccelMode::None},
+        {"Ticket-Dissem", F::TicketDissemSw, AccelMode::None},
+        {"MSA/OMU-2", F::Hw, AccelMode::MsaOmu},
     };
 
     std::printf("%-14s %12s %12s %14s\n", "Library", "LockHandoff",
                 "BarrierHand.", "LockAcquire");
     for (const Row &row : rows) {
-        RawLatencies lat;
-        if (row.flavor == F::TicketDissemSw) {
-            // Run the microbenchmarks manually with this flavor by
-            // building on the runner-level entry points.
-            lat = workload::measureRawLatencyFlavor(
-                64, row.flavor, AccelMode::None);
-        } else {
-            lat = measureFlavor(64, row.flavor);
-        }
+        const RawLatencies lat =
+            workload::measureRawLatencyFlavor(64, row.flavor, row.mode);
         std::printf("%-14s %12.0f %12.0f %14.0f\n", row.name,
                     lat.lockHandoff, lat.barrierHandoff,
                     lat.lockAcquire);

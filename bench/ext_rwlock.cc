@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "bench/bench_util.hh"
+#include "bench/repro.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sync/sync_lib.hh"
@@ -75,11 +75,10 @@ run(unsigned cores, sync::SyncLib::Flavor flavor, AccelMode mode,
 } // namespace
 
 int
-main()
+bench::extRwlock()
 {
-    setVerbose(false);
-    bench::banner("Extension",
-                  "reader-writer locks, read-mostly workload (64 cores)");
+    banner("Extension",
+           "reader-writer locks, read-mostly workload (64 cores)");
 
     using F = sync::SyncLib::Flavor;
     std::printf("%-10s %14s %14s %14s %14s\n", "Write %", "sw mutex",

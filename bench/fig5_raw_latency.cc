@@ -10,8 +10,7 @@
 
 #include <cstdio>
 
-#include "bench/bench_util.hh"
-#include "sim/logging.hh"
+#include "bench/repro.hh"
 #include "workload/microbench.hh"
 
 using namespace misar;
@@ -19,10 +18,9 @@ using workload::RawLatencies;
 using sys::PaperConfig;
 
 int
-main()
+bench::fig5RawLatency()
 {
-    setVerbose(false);
-    bench::banner("Figure 5", "Raw Synchronization Latency (cycles)");
+    banner("Figure 5", "Raw Synchronization Latency (cycles)");
 
     const PaperConfig configs[] = {
         PaperConfig::Baseline, PaperConfig::Msa0, PaperConfig::MsaOmu2,

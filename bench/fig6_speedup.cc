@@ -6,70 +6,38 @@
  * rows for the paper's headline applications plus the GeoMean over
  * all 26 Splash-2 + PARSEC workloads.
  *
- * The sweep is described by bench/campaigns/fig6.json (fig6_quick
- * .json with --quick) and executed through the campaign engine's
- * in-process path — the same spec run under `misar_campaign --spec
- * bench/campaigns/fig6.json --workers N` produces the same numbers
- * in parallel, with resume support.
+ * The sweep is described by bench/campaigns/fig6.json: `misar_campaign
+ * --spec bench/campaigns/fig6.json` runs the same jobs and reports
+ * the same speedups.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
-#include "bench/bench_util.hh"
-#include "orch/aggregate.hh"
-#include "orch/campaign_spec.hh"
-#include "orch/engine.hh"
-#include "sim/logging.hh"
+#include "bench/repro.hh"
 #include "workload/app_catalog.hh"
 
 using namespace misar;
+using namespace misar::bench;
 using namespace misar::workload;
-using namespace misar::orch;
-
-namespace {
-
-/** The report columns: every non-baseline preset, in spec order. */
-std::vector<const PresetSpec *>
-columnPresets(const CampaignSpec &spec)
-{
-    std::vector<const PresetSpec *> cols;
-    for (const PresetSpec &p : spec.presets)
-        if (p.name != spec.baseline)
-            cols.push_back(&p);
-    return cols;
-}
-
-} // namespace
 
 int
-main(int argc, char **argv)
+bench::fig6Speedup(Runner &run)
 {
-    setVerbose(false);
-    const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-    bench::banner("Figure 6",
-                  "Application speedup vs pthread baseline");
+    banner("Figure 6", "Application speedup vs pthread baseline");
 
-    const char *dir = std::getenv("MISAR_CAMPAIGN_SPEC_DIR");
-    std::string spec_path =
-        std::string(dir ? dir : MISAR_CAMPAIGN_SPEC_DIR) +
-        (quick ? "/fig6_quick.json" : "/fig6.json");
-    CampaignSpec spec;
-    std::string err;
-    if (!CampaignSpec::parseFile(spec_path, spec, err))
-        fatal("%s: %s", spec_path.c_str(), err.c_str());
-    err = spec.validate();
-    if (!err.empty())
-        fatal("%s: %s", spec_path.c_str(), err.c_str());
-
-    const std::vector<JobRecord> records = runCampaignInProcess(spec);
-    const CampaignReport report(spec, records);
-    const std::vector<const PresetSpec *> cols = columnPresets(spec);
+    const orch::CampaignSpec spec = loadSpec("fig6.json");
+    const SpecResults results = runSpec(run, spec);
+    // The report columns: every non-baseline preset, in spec order.
+    std::vector<std::string> cols;
+    for (const orch::PresetSpec &p : spec.presets)
+        if (p.name != spec.baseline)
+            cols.push_back(p.name);
 
     std::printf("%-14s %-6s %9s", "App", "Cores", "BaseCyc");
-    for (const PresetSpec *p : cols)
-        std::printf(" %10s", p->name.c_str());
+    for (const std::string &c : cols)
+        std::printf(" %10s", c.c_str());
     std::printf("\n");
 
     // speedups[column][cores] across all apps, for the GeoMean.
@@ -77,45 +45,24 @@ main(int argc, char **argv)
         cols.size(), std::vector<std::vector<double>>(spec.cores.size()));
 
     const auto &headline = headlineApps();
-    auto is_headline = [&](const std::string &n) {
-        for (const auto &h : headline)
-            if (h == n)
-                return true;
-        return false;
-    };
-
-    // Catalog order (the spec's app list is a subset of it), so the
-    // quick and full tables list rows identically to the pre-engine
-    // bench.
-    for (const AppSpec &aspec : appCatalog()) {
-        bool in_spec = false;
-        for (const std::string &a : spec.apps)
-            in_spec |= a == aspec.name;
-        if (!in_spec)
-            continue;
+    for (const std::string &app : spec.apps) {
+        const bool print = std::find(headline.begin(), headline.end(),
+                                     app) != headline.end();
         for (std::size_t ni = 0; ni < spec.cores.size(); ++ni) {
             const unsigned cores = spec.cores[ni];
-            const Cell *base = report.cell(spec.baseline, aspec.name,
-                                           cores);
-            if (!base || base->recs.empty() ||
-                base->recs[0]->outcome != JobOutcome::Finished)
-                fatal("baseline run of %s did not finish",
-                      aspec.name.c_str());
-            const bool print = is_headline(aspec.name);
+            // The spec runs seed 1 only.
+            const Tick base =
+                finished(results, spec.baseline, app, cores, 1).makespan;
             if (print)
-                std::printf("%-14s %-6u %9llu", aspec.name.c_str(),
-                            cores,
-                            static_cast<unsigned long long>(
-                                base->recs[0]->makespan));
+                std::printf("%-14s %-6u %9llu", app.c_str(), cores,
+                            static_cast<unsigned long long>(base));
             for (std::size_t ci = 0; ci < cols.size(); ++ci) {
-                std::vector<double> sp = report.speedups(
-                    cols[ci]->name, aspec.name, cores);
-                if (sp.empty())
-                    fatal("%s on %s did not finish", aspec.name.c_str(),
-                          cols[ci]->name.c_str());
-                speedups[ci][ni].push_back(sp[0]);
+                const double sp =
+                    static_cast<double>(base) /
+                    finished(results, cols[ci], app, cores, 1).makespan;
+                speedups[ci][ni].push_back(sp);
                 if (print)
-                    std::printf(" %10.2f", sp[0]);
+                    std::printf(" %10.2f", sp);
             }
             if (print)
                 std::printf("\n");
@@ -125,7 +72,7 @@ main(int argc, char **argv)
     for (std::size_t ni = 0; ni < spec.cores.size(); ++ni) {
         std::printf("%-14s %-6u %9s", "GeoMean", spec.cores[ni], "-");
         for (std::size_t ci = 0; ci < cols.size(); ++ci)
-            std::printf(" %10.2f", bench::geoMean(speedups[ci][ni]));
+            std::printf(" %10.2f", geoMean(speedups[ci][ni]));
         std::printf("\n");
     }
 

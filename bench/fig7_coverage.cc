@@ -9,32 +9,31 @@
 
 #include <cstdio>
 
-#include "bench/bench_util.hh"
+#include "bench/repro.hh"
 #include "sim/logging.hh"
 #include "workload/app_catalog.hh"
-#include "workload/runner.hh"
 
 using namespace misar;
+using namespace misar::bench;
 using namespace misar::workload;
 
 namespace {
 
 double
-meanCoverage(unsigned cores, unsigned entries, bool omu)
+meanCoverage(Runner &run, unsigned cores, unsigned entries, bool omu)
 {
     double sum = 0.0;
     unsigned n = 0;
     for (const AppSpec &spec : appCatalog()) {
         SystemConfig cfg = makeConfig(cores, AccelMode::MsaOmu, entries);
         cfg.msa.omuEnabled = omu;
-        RunResult r = runAppWithConfig(spec, cfg,
-                                       sync::SyncLib::Flavor::Hw);
+        const JobResult &r = run({spec, cfg});
         if (!r.finished)
             fatal("%s did not finish (entries=%u omu=%d)",
                   spec.name.c_str(), entries, omu);
-        if (r.hwOps + r.swOps == 0)
+        if (r.counter("sync.hwOps") + r.counter("sync.swOps") == 0)
             continue; // pure-compute workload: no sync ops to cover
-        sum += r.hwCoverage;
+        sum += r.hwCoverage();
         ++n;
     }
     return n ? 100.0 * sum / n : 0.0;
@@ -43,18 +42,16 @@ meanCoverage(unsigned cores, unsigned entries, bool omu)
 } // namespace
 
 int
-main()
+bench::fig7Coverage(Runner &run)
 {
-    setVerbose(false);
-    bench::banner("Figure 7",
-                  "Coverage of synchronization operations (%)");
+    banner("Figure 7", "Coverage of synchronization operations (%)");
 
     std::printf("%-10s %-8s %12s %12s\n", "MSA size", "Cores",
                 "Without OMU", "With OMU");
     for (unsigned entries : {1u, 2u}) {
         for (unsigned cores : {16u, 64u}) {
-            double without = meanCoverage(cores, entries, false);
-            double with = meanCoverage(cores, entries, true);
+            double without = meanCoverage(run, cores, entries, false);
+            double with = meanCoverage(run, cores, entries, true);
             std::printf("MSA-%-6u %-8u %11.1f%% %11.1f%%\n", entries,
                         cores, without, with);
         }

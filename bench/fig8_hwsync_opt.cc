@@ -9,20 +9,17 @@
 
 #include <cstdio>
 
-#include "bench/bench_util.hh"
-#include "sim/logging.hh"
+#include "bench/repro.hh"
 #include "workload/app_catalog.hh"
-#include "workload/runner.hh"
 
 using namespace misar;
+using namespace misar::bench;
 using namespace misar::workload;
 
 int
-main()
+bench::fig8HwsyncOpt(Runner &run)
 {
-    setVerbose(false);
-    bench::banner("Figure 8",
-                  "Effect of HWSync-bit optimization on fluidanimate");
+    banner("Figure 8", "Effect of HWSync-bit optimization on fluidanimate");
 
     const AppSpec &spec = appByName("fluidanimate");
     const std::uint64_t seeds[] = {1, 7, 1234};
@@ -31,27 +28,30 @@ main()
     for (unsigned cores : {16u, 64u}) {
         double sp_with = 0, sp_without = 0, silent_rate = 0;
         for (std::uint64_t seed : seeds) {
-            RunResult base =
-                runApp(spec, cores, sys::PaperConfig::Baseline, seed);
+            const JobResult &base =
+                run({spec, makeConfig(cores, AccelMode::None),
+                     sync::SyncLib::Flavor::PthreadSw, seed});
 
             SystemConfig with_cfg = makeConfig(cores, AccelMode::MsaOmu,
                                                2);
             with_cfg.msa.hwSyncBitOpt = true;
-            RunResult with = runAppWithConfig(
-                spec, with_cfg, sync::SyncLib::Flavor::Hw, seed);
+            const JobResult &with =
+                run({spec, with_cfg, sync::SyncLib::Flavor::Hw, seed});
 
             SystemConfig wo_cfg = with_cfg;
             wo_cfg.msa.hwSyncBitOpt = false;
-            RunResult without = runAppWithConfig(
-                spec, wo_cfg, sync::SyncLib::Flavor::Hw, seed);
+            const JobResult &without =
+                run({spec, wo_cfg, sync::SyncLib::Flavor::Hw, seed});
 
             sp_with += static_cast<double>(base.makespan) / with.makespan;
             sp_without +=
                 static_cast<double>(base.makespan) / without.makespan;
-            if (with.hwOps + with.swOps) {
+            const std::uint64_t ops =
+                with.counter("sync.hwOps") + with.counter("sync.swOps");
+            if (ops) {
                 silent_rate +=
-                    static_cast<double>(with.silentLocks) /
-                    (static_cast<double>(with.hwOps + with.swOps) / 2.0);
+                    static_cast<double>(with.counter("sync.silentLocks")) /
+                    (static_cast<double>(ops) / 2.0);
             }
         }
         const double n = static_cast<double>(std::size(seeds));

@@ -8,37 +8,35 @@
  * fluidanimate) lose it under MSA-BarrierOnly.
  */
 
+#include <algorithm>
 #include <cstdio>
 
-#include "bench/bench_util.hh"
-#include "sim/logging.hh"
+#include "bench/repro.hh"
 #include "workload/app_catalog.hh"
-#include "workload/runner.hh"
 
 using namespace misar;
+using namespace misar::bench;
 using namespace misar::workload;
 
 namespace {
 
-RunResult
-runWithSupport(const AppSpec &spec, unsigned cores, bool locks,
-               bool barriers, bool conds)
+const JobResult &
+runWithSupport(Runner &run, const AppSpec &spec, unsigned cores,
+               bool locks, bool barriers, bool conds)
 {
     SystemConfig cfg = makeConfig(cores, AccelMode::MsaOmu, 2);
     cfg.msa.support.locks = locks;
     cfg.msa.support.barriers = barriers;
     cfg.msa.support.condVars = conds;
-    return runAppWithConfig(spec, cfg, sync::SyncLib::Flavor::Hw);
+    return run({spec, cfg});
 }
 
 } // namespace
 
 int
-main()
+bench::fig9Breakdown(Runner &run)
 {
-    setVerbose(false);
-    bench::banner("Figure 9",
-                  "64-core speedup: lock-only vs barrier-only MSA");
+    banner("Figure 9", "64-core speedup: lock-only vs barrier-only MSA");
 
     const unsigned cores = 64;
     std::printf("%-14s %12s %14s %16s\n", "App", "MSA/OMU-2",
@@ -46,33 +44,29 @@ main()
 
     std::vector<double> sp_full, sp_lock, sp_barrier;
     const auto &headline = headlineApps();
-    auto is_headline = [&](const std::string &n) {
-        for (const auto &h : headline)
-            if (h == n)
-                return true;
-        return false;
-    };
-
     for (const AppSpec &spec : appCatalog()) {
-        RunResult base = runApp(spec, cores, sys::PaperConfig::Baseline);
-        RunResult full = runWithSupport(spec, cores, true, true, true);
-        RunResult lock_only = runWithSupport(spec, cores, true, false,
-                                             false);
-        RunResult barrier_only = runWithSupport(spec, cores, false, true,
-                                                false);
+        const JobResult &base =
+            run({spec, makeConfig(cores, AccelMode::None),
+                 sync::SyncLib::Flavor::PthreadSw});
+        const JobResult &full =
+            runWithSupport(run, spec, cores, true, true, true);
+        const JobResult &lock_only =
+            runWithSupport(run, spec, cores, true, false, false);
+        const JobResult &barrier_only =
+            runWithSupport(run, spec, cores, false, true, false);
         double b = static_cast<double>(base.makespan);
         sp_full.push_back(b / full.makespan);
         sp_lock.push_back(b / lock_only.makespan);
         sp_barrier.push_back(b / barrier_only.makespan);
-        if (is_headline(spec.name)) {
+        if (std::find(headline.begin(), headline.end(), spec.name) !=
+            headline.end()) {
             std::printf("%-14s %11.2fx %13.2fx %15.2fx\n",
                         spec.name.c_str(), b / full.makespan,
                         b / lock_only.makespan, b / barrier_only.makespan);
         }
     }
     std::printf("%-14s %11.2fx %13.2fx %15.2fx\n", "GeoMean",
-                bench::geoMean(sp_full), bench::geoMean(sp_lock),
-                bench::geoMean(sp_barrier));
+                geoMean(sp_full), geoMean(sp_lock), geoMean(sp_barrier));
 
     std::printf("\nPaper shape check: streamcluster/ocean speedups "
                 "vanish with MSA-LockOnly;\nradiosity/fluidanimate "

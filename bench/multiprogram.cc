@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "bench/bench_util.hh"
+#include "bench/repro.hh"
 #include "sim/logging.hh"
 #include "sync/sync_lib.hh"
 #include "system/system.hh"
@@ -62,11 +62,10 @@ coRun(const AppSpec &a, const AppSpec &b, bool omu)
 } // namespace
 
 int
-main()
+bench::multiprogram()
 {
-    setVerbose(false);
-    bench::banner("Multiprogramming",
-                  "two apps sharing one chip (32+32 of 64 cores)");
+    banner("Multiprogramming",
+           "two apps sharing one chip (32+32 of 64 cores)");
 
     struct Pair
     {

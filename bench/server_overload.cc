@@ -22,21 +22,14 @@
  * hi tenant's p99 must hold its SLO through the lo burst; the
  * brownout=1.0 contrast column shows what the hi tenant suffers when
  * admission stops prioritizing.
- *
- *   ./build/bench/server_overload [--smoke]
- *
- * Runs are strictly sequential (single-core CI hosts); --smoke trims
- * the sweep for the CI job.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.hh"
+#include "bench/repro.hh"
 #include "sim/logging.hh"
-#include "system/presets.hh"
 #include "workload/app_catalog.hh"
 #include "workload/runner.hh"
 
@@ -46,23 +39,12 @@ namespace {
 
 constexpr unsigned cores = 16;
 
-SystemConfig
-msaConfig(sync::SyncLib::Flavor &flavor)
-{
-    SystemConfig cfg;
-    if (!sys::cliPresetFor("msa-omu", cores, 16, cfg, flavor))
-        fatal("unknown preset config 'msa-omu'");
-    cfg.validate();
-    return cfg;
-}
-
 srv::ServerStats
 runServer(const workload::AppSpec &spec, const char *label)
 {
-    sync::SyncLib::Flavor flavor;
-    SystemConfig cfg = msaConfig(flavor);
-    workload::RunResult r =
-        workload::runAppWithConfig(spec, cfg, flavor, /*seed=*/1, label);
+    workload::RunResult r = workload::runAppWithConfig(
+        spec, makeConfig(cores, AccelMode::MsaOmu, 16),
+        sync::SyncLib::Flavor::Hw, /*seed=*/1, label);
     if (!r.finished)
         fatal("%s did not finish", label);
     return r.server;
@@ -71,12 +53,10 @@ runServer(const workload::AppSpec &spec, const char *label)
 } // namespace
 
 int
-main(int argc, char **argv)
+bench::serverOverload()
 {
-    setVerbose(false);
-    const bool smoke = argc > 1 && !std::strcmp(argv[1], "--smoke");
-    bench::banner("Server overload robustness",
-                  "retry storms vs. budgets + multi-tenant brownout");
+    banner("Server overload robustness",
+           "retry storms vs. budgets + multi-tenant brownout");
 
     bool pass = true;
 
@@ -85,9 +65,7 @@ main(int argc, char **argv)
     // 6 req/ktick is ~2.4x the saturated service rate — deep
     // overload, yet shy of the regime where the budget's burst
     // tokens themselves displace SLO-meeting work.
-    const std::vector<double> rates =
-        smoke ? std::vector<double>{2, 6}
-              : std::vector<double>{2, 4, 6};
+    const std::vector<double> rates = {2, 4, 6};
     constexpr srv::RetryPolicy policies[] = {
         srv::RetryPolicy::None,
         srv::RetryPolicy::Naive,
@@ -95,7 +73,7 @@ main(int argc, char **argv)
     };
 
     workload::AppSpec base = workload::appByName("server-poisson");
-    base.server.requests = smoke ? 400 : 1500;
+    base.server.requests = 1500;
     base.server.queueCap = 256;
     base.server.sloTicks = 20000;
 
@@ -167,7 +145,7 @@ main(int argc, char **argv)
     // ---- Part 2: multi-tenant brownout through a lo burst ----------
 
     workload::AppSpec burst = workload::appByName("server-burst");
-    burst.server.requests = smoke ? 400 : 1500;
+    burst.server.requests = 1500;
     burst.server.queueCap = 256;
     burst.server.sloTicks = 30000;
     burst.server.tenantHiRate = 1.0; // steady Poisson

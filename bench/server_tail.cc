@@ -11,21 +11,14 @@
  * configurations should carry a given offered load with a lower p99
  * and hit their saturation knee at a higher rate than the software
  * fallback.
- *
- *   ./build/bench/server_tail [--smoke]
- *
- * Runs are strictly sequential (single-core CI hosts); --smoke trims
- * the sweep for the CI job.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.hh"
+#include "bench/repro.hh"
 #include "sim/logging.hh"
-#include "system/presets.hh"
 #include "workload/app_catalog.hh"
 #include "workload/runner.hh"
 
@@ -33,36 +26,31 @@ using namespace misar;
 
 namespace {
 
+/** A column: the hybrid library on an MSA, or on none (msa0). */
 struct PresetRow
 {
-    const char *label;  ///< report column
-    const char *config; ///< sys::cliPresetFor name
-    unsigned entries;   ///< MSA entries per tile
+    const char *label; ///< report column
+    AccelMode mode;
+    unsigned entries; ///< MSA entries per tile
 };
 
 constexpr PresetRow presets[] = {
-    {"msa-16c-16e", "msa-omu", 16},
-    {"sw-fallback", "msa0", 2},
+    {"msa-16c-16e", AccelMode::MsaOmu, 16},
+    {"sw-fallback", AccelMode::None, 2},
 };
 
 } // namespace
 
 int
-main(int argc, char **argv)
+bench::serverTail()
 {
-    setVerbose(false);
-    const bool smoke = argc > 1 && !std::strcmp(argv[1], "--smoke");
-    bench::banner("Server tail latency",
-                  "open-loop dispatch + stealing under offered load");
+    banner("Server tail latency",
+           "open-loop dispatch + stealing under offered load");
 
     const unsigned cores = 16;
-    const std::vector<double> rates =
-        smoke ? std::vector<double>{2, 6}
-              : std::vector<double>{1, 2, 4, 8};
+    const std::vector<double> rates = {1, 2, 4, 8};
 
-    workload::AppSpec app = workload::appByName("server-poisson");
-    if (smoke)
-        app.server.requests = 400;
+    const workload::AppSpec app = workload::appByName("server-poisson");
 
     std::printf("%-12s %7s %9s %8s %8s %8s %7s %5s\n", "Preset",
                 "Offered", "Achieved", "p50", "p99", "p999", "Rej",
@@ -76,17 +64,11 @@ main(int argc, char **argv)
     for (std::size_t pi = 0; pi < std::size(presets); ++pi) {
         const PresetRow &p = presets[pi];
         for (double rate : rates) {
-            SystemConfig cfg;
-            sync::SyncLib::Flavor flavor;
-            if (!sys::cliPresetFor(p.config, cores, p.entries, cfg,
-                                   flavor))
-                fatal("unknown preset config '%s'", p.config);
-            cfg.validate();
-
             workload::AppSpec spec = app;
             spec.server.arrivalRate = rate;
             workload::RunResult r = workload::runAppWithConfig(
-                spec, cfg, flavor, /*seed=*/1, p.label);
+                spec, makeConfig(cores, p.mode, p.entries),
+                sync::SyncLib::Flavor::Hw, /*seed=*/1, p.label);
             if (!r.finished)
                 fatal("%s at rate %g did not finish", p.label, rate);
             const srv::ServerStats &s = r.server;

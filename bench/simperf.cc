@@ -2,7 +2,7 @@
  * @file
  * Host-throughput benchmark for the simulation kernel.
  *
- * Unlike the fig*_ benches (which reproduce paper results in
+ * Unlike repro's figures (which reproduce paper results in
  * simulated time), this harness measures how fast the simulator
  * itself runs on the host: simulated ticks/second and events/second
  * over the standard presets. It is the regression gate for the event

@@ -377,16 +377,19 @@ runCampaign(const CampaignSpec &spec, const EngineOptions &opts,
         if (runningNow)
             --runningNow;
 
-        if (jobOutcomeRetryable(oc) && attempts[t.id] <= spec.maxRetries &&
-            !stopped) {
-            if (opts.verbose)
-                inform("job %u (%s) %s; retrying (%u/%u)", t.id,
-                       j.key().c_str(), jobOutcomeName(oc),
-                       attempts[t.id], spec.maxRetries);
+        if (jobOutcomeRetryable(oc) && attempts[t.id] <= spec.maxRetries) {
             ::unlink(
                 (opts.outDir + "/" + jobReportRelPath(t.id)).c_str());
             ::unlink(
                 (opts.outDir + "/" + jobHeatmapRelPath(t.id)).c_str());
+            // After --stop-after the job stays unjournaled ("missing"),
+            // so --resume reruns it instead of keeping the crash.
+            if (stopped)
+                return;
+            if (opts.verbose)
+                inform("job %u (%s) %s; retrying (%u/%u)", t.id,
+                       j.key().c_str(), jobOutcomeName(oc),
+                       attempts[t.id], spec.maxRetries);
             ++retriesNow;
             status.write(static_cast<unsigned>(done.size()), runningNow,
                          failedNow, retriesNow, stats.attempts, false);

@@ -19,8 +19,7 @@
  *
  *  - runCampaignInProcess(): the same grid executed serially in
  *    this process, ingesting the report text the run hands back.
- *    Used by unit tests, the fig6/resil bench harnesses and the
- *    reproduction benchmark.
+ *    Used by unit tests and the reproduction benchmark.
  *
  * Either way a job's meta.preset is its preset's name, and for
  * identical seeds both executors produce byte-identical reports.

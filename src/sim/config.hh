@@ -36,6 +36,8 @@ struct MsaTypeSupport
     bool locks = true;
     bool barriers = true;
     bool condVars = true;
+
+    bool operator==(const MsaTypeSupport &) const = default;
 };
 
 /** NoC parameters. */
@@ -73,6 +75,8 @@ struct NocConfig
      * (the sender is actively retransmitting there).
      */
     Tick ackDelay = 16;
+
+    bool operator==(const NocConfig &) const = default;
 };
 
 /** Cache hierarchy parameters. */
@@ -85,6 +89,8 @@ struct MemConfig
     unsigned llcWays = 8;
     Tick llcHitLatency = 10;
     Tick memLatency = 120;        ///< DRAM access behind the LLC
+
+    bool operator==(const MemConfig &) const = default;
 };
 
 /** MSA/OMU parameters. */
@@ -119,6 +125,8 @@ struct MsaConfig
     MsaTypeSupport support;
     /** Cycles the MSA pipeline takes to process one request. */
     Tick msaLatency = 1;
+
+    bool operator==(const MsaConfig &) const = default;
 };
 
 /** One scheduled NoC link kill: the bidirectional link between two
@@ -128,6 +136,8 @@ struct LinkKill
     unsigned a = 0;
     unsigned b = 0;
     Tick atTick = 0;
+
+    bool operator==(const LinkKill &) const = default;
 };
 
 /** One scheduled NoC router kill: the router (and with it the whole
@@ -136,6 +146,8 @@ struct RouterKill
 {
     unsigned router = 0;
     Tick atTick = 0;
+
+    bool operator==(const RouterKill &) const = default;
 };
 
 /** One scheduled core kill: the core halts at a tick, mid-whatever
@@ -144,6 +156,8 @@ struct CoreKill
 {
     unsigned core = 0;
     Tick atTick = 0;
+
+    bool operator==(const CoreKill &) const = default;
 };
 
 /**
@@ -268,6 +282,8 @@ struct ResilConfig
     {
         return !coreKills.empty();
     }
+
+    bool operator==(const ResilConfig &) const = default;
 };
 
 /**
@@ -319,6 +335,8 @@ struct ObsConfig
         return traceEnabled || profileSync || sampleInterval > 0 ||
                heatmapEnabled;
     }
+
+    bool operator==(const ObsConfig &) const = default;
 };
 
 /** Core timing parameters. */
@@ -336,6 +354,8 @@ struct CoreConfig
      * squashed LOCK instruction re-executes (paper §4.1.2).
      */
     Tick suspendResumeDelay = 500;
+
+    bool operator==(const CoreConfig &) const = default;
 };
 
 /** Top-level configuration for one simulated system. */
@@ -391,6 +411,8 @@ struct SystemConfig
 
     /** Human-readable name of the accel configuration. */
     std::string accelName() const;
+
+    bool operator==(const SystemConfig &) const = default;
 };
 
 /** Convenience builders for the paper's configurations. */

@@ -127,6 +127,8 @@ struct ServerSpec
     {
         return tenantHiRate > 0.0 && tenantLoRate > 0.0;
     }
+
+    bool operator==(const ServerSpec &) const = default;
 };
 
 /**

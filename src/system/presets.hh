@@ -45,12 +45,6 @@ enum class PaperConfig
     MsaOmu2CoreFaults,
 };
 
-/** All configurations shown in Figure 6, in plot order. */
-constexpr PaperConfig fig6Configs[] = {
-    PaperConfig::Msa0,    PaperConfig::McsTour, PaperConfig::MsaOmu1,
-    PaperConfig::MsaOmu2, PaperConfig::MsaInf,  PaperConfig::Ideal,
-};
-
 /** System configuration for @p pc with @p cores cores. */
 SystemConfig configFor(PaperConfig pc, unsigned cores);
 

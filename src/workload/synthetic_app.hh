@@ -83,6 +83,8 @@ struct AppSpec
      * appThread — harness call sites branch on this.
      */
     srv::ServerSpec server;
+
+    bool operator==(const AppSpec &) const = default;
 };
 
 /** Address-space layout of one application instance. */

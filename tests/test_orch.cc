@@ -924,6 +924,39 @@ TEST(OrchEngine, ClassifiesTickLimitFromExitCode)
               "limit-reached");
 }
 
+TEST(OrchEngine, CrashAfterStopIsLeftForResume)
+{
+    // Job 1's first attempt is killed at spawn and job 0 stops the
+    // campaign. With a 1-tick budget job 0 is almost always reaped
+    // first, so the kill arrives after the stop: it must leave job 1
+    // unjournaled for --resume to rerun, not journal a terminal
+    // crash. The repeats also cover the other order (retried before
+    // the stop, then journaled as its retry's outcome).
+    CampaignSpec spec = smokeSpec();
+    spec.tickLimit = 1;
+    for (int rep = 0; rep < 10; ++rep) {
+        SCOPED_TRACE(rep);
+        EngineOptions opts;
+        opts.outDir = tmpDir();
+        opts.workers = 2;
+        opts.verbose = false;
+        opts.chaosKillJob = 1;
+        opts.stopAfter = 1;
+        std::vector<JobRecord> recs;
+        CampaignRunStats stats;
+        std::string err;
+        ASSERT_TRUE(runCampaign(spec, opts, recs, stats, err)) << err;
+        EXPECT_NE(recs[1].outcome, JobOutcome::Crash);
+
+        opts.chaosKillJob = -1;
+        opts.stopAfter = -1;
+        opts.resume = true;
+        ASSERT_TRUE(runCampaign(spec, opts, recs, stats, err)) << err;
+        EXPECT_TRUE(stats.complete);
+        EXPECT_EQ(recs[1].outcome, JobOutcome::TickLimit);
+    }
+}
+
 // --------------------------------------------------------------- report
 
 namespace {
