@@ -68,23 +68,27 @@ bench::fig5RawLatency()
     auto &pth16 = lat[0][0];
     auto &pth64 = lat[0][1];
     auto &mcs64 = lat[3][1];
+    bool ok = true;
+    auto check = [&ok](bool holds) {
+        ok = ok && holds;
+        return holds ? "YES" : "NO";
+    };
     std::printf("  MSA/OMU-2 no-contention acquire beats pthread: "
                 "%s (%.0f vs %.0f)\n",
-                msa16.lockAcquire < pth16.lockAcquire ? "YES" : "NO",
+                check(msa16.lockAcquire < pth16.lockAcquire),
                 msa16.lockAcquire, pth16.lockAcquire);
     std::printf("  MSA/OMU-2 lowest 64-core lock handoff:          "
                 "%s (%.0f vs pthread %.0f, MCS %.0f)\n",
-                (msa64.lockHandoff < pth64.lockHandoff &&
-                 msa64.lockHandoff < mcs64.lockHandoff) ? "YES" : "NO",
+                check(msa64.lockHandoff < pth64.lockHandoff &&
+                      msa64.lockHandoff < mcs64.lockHandoff),
                 msa64.lockHandoff, pth64.lockHandoff, mcs64.lockHandoff);
     std::printf("  MSA barrier ~order-of-magnitude under tournament: "
                 "%s (%.0f vs %.0f)\n",
-                msa64.barrierHandoff * 4 < mcs64.barrierHandoff ? "YES"
-                                                                 : "NO",
+                check(msa64.barrierHandoff * 4 < mcs64.barrierHandoff),
                 msa64.barrierHandoff, mcs64.barrierHandoff);
     std::printf("  pthread handoff scales poorly 16->64:            "
                 "%s (%.0f -> %.0f)\n",
-                pth64.lockHandoff > pth16.lockHandoff ? "YES" : "NO",
+                check(pth64.lockHandoff > pth16.lockHandoff),
                 pth16.lockHandoff, pth64.lockHandoff);
-    return 0;
+    return ok ? 0 : 1;
 }

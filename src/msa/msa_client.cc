@@ -214,39 +214,19 @@ MsaClientHub::execute(CoreId core, const cpu::Op &op, Cb cb)
         return;
     }
 
-    if (op.instr == cpu::SyncInstr::RwUnlock &&
+    if ((op.instr == cpu::SyncInstr::Unlock ||
+         op.instr == cpu::SyncInstr::RwUnlock) &&
         pc.hwHeld.count(op.addr)) {
-        // Hardware-held RW locks release like regular ones: the
-        // entry cannot vanish while held, so complete locally.
+        // The lock (plain or RW) is hardware-held: its entry cannot
+        // vanish while owned, so the release is guaranteed to succeed.
+        // Complete the instruction now (release semantics) and let
+        // the home hand the lock off asynchronously.
         pc.hwHeld.erase(op.addr);
-        auto m = std::make_shared<MsaMsg>(cfg.tileOf(core),
-                                          homeOf(op.addr),
-                                          MsaOp::RwUnlock, op.addr);
-        m->requester = core;
-        m->noReply = true;
-        if (auto it = pc.heldEpoch.find(op.addr);
-            it != pc.heldEpoch.end()) {
-            m->epoch = it->second;
-            pc.heldEpoch.erase(it);
-        }
-        ms.send(std::move(m));
-        pc.releaseSent[op.addr] = eq.now();
-        countOp(op, true);
-        if (profiler)
-            profiler->onHwRelease(core, op.addr, eq.now());
-        cb(cpu::SyncResult::Success);
-        return;
-    }
-
-    if (op.instr == cpu::SyncInstr::Unlock && pc.hwHeld.count(op.addr)) {
-        // The lock is hardware-held: its entry cannot vanish while
-        // owned, so UNLOCK is guaranteed to succeed. Complete the
-        // instruction now (release semantics) and let the home hand
-        // the lock off asynchronously.
-        pc.hwHeld.erase(op.addr);
-        auto m = std::make_shared<MsaMsg>(cfg.tileOf(core),
-                                          homeOf(op.addr),
-                                          MsaOp::Unlock, op.addr);
+        auto m = std::make_shared<MsaMsg>(
+            cfg.tileOf(core), homeOf(op.addr),
+            op.instr == cpu::SyncInstr::Unlock ? MsaOp::Unlock
+                                               : MsaOp::RwUnlock,
+            op.addr);
         m->requester = core;
         m->noReply = true;
         if (auto it = pc.heldEpoch.find(op.addr);

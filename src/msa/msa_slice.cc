@@ -394,9 +394,9 @@ MsaEntry *
 MsaSlice::allocate(Addr addr)
 {
     if (offline) {
-        // Decommissioned: every miss is denied, so the caller's
-        // existing FAIL path (omuInc + RespFail) routes the address
-        // to software.
+        // Decommissioned: every miss is denied, so the acquire
+        // gate's FAIL (omuInc + RespFail) routes the address to
+        // software.
         stats.counter(statPrefix + "offlineDenied").inc();
         traceInstant("OFFLINE_DENY", addr);
         return nullptr;
@@ -547,109 +547,108 @@ MsaSlice::unlockCommon(MsaEntry &e, CoreId core)
     return true;
 }
 
+MsaSlice::Gated
+MsaSlice::acquireGate(const std::shared_ptr<MsaMsg> &msg, SyncType type)
+{
+    const Addr addr = msg->addr;
+    if (typeSupported(type)) {
+        MsaEntry *e = find(addr);
+        if (!e) {
+            // Miss: allocate only while no software episode is live.
+            if (!omuActive(addr) && (e = allocate(addr))) {
+                e->type = type;
+                return {e, true};
+            }
+        } else if (!e->tombstone) {
+            if (e->busy) {
+                defer(msg);
+                return {};
+            }
+            if (e->type != type)
+                panic("MSA %u: %s on an active entry of another type at "
+                      "%llx",
+                      tile, msaOpName(msg->op),
+                      static_cast<unsigned long long>(addr));
+            return {e, false};
+        }
+    }
+    // Unsupported type, tombstone, live OMU counter or no free entry:
+    // the request runs in software, and the OMU counts it from now on.
+    omuInc(addr);
+    respond(msg->requester, MsaOp::RespFail, addr);
+    return {};
+}
+
+MsaEntry *
+MsaSlice::releaseGate(const std::shared_ptr<MsaMsg> &msg, SyncType type)
+{
+    const Addr addr = msg->addr;
+    if (typeSupported(type)) {
+        MsaEntry *e = find(addr);
+        if (!e && msg->noReply)
+            panic("MSA %u: fire-and-forget %s missed entry %llx", tile,
+                  msaOpName(msg->op), static_cast<unsigned long long>(addr));
+        if (e && !e->tombstone) {
+            if (!e->busy)
+                return e;
+            defer(msg);
+            return nullptr;
+        }
+    }
+    // Default-to-software: the matching acquire FAILed too, and this
+    // release ends the software episode that FAIL opened.
+    omuDec(addr);
+    respond(msg->requester, MsaOp::RespFail, addr);
+    return nullptr;
+}
+
+MsaEntry *
+MsaSlice::pinnedLockEntry(const std::shared_ptr<MsaMsg> &msg)
+{
+    MsaEntry *e = find(msg->addr);
+    if (!e || e->type != SyncType::Lock)
+        panic("MSA %u: %s for unpinned lock %llx", tile, msaOpName(msg->op),
+              static_cast<unsigned long long>(msg->addr));
+    if (e->busy) {
+        defer(msg);
+        return nullptr;
+    }
+    return e;
+}
+
 void
 MsaSlice::doLock(const std::shared_ptr<MsaMsg> &msg)
 {
-    const Addr addr = msg->addr;
     const CoreId core = msg->requester;
-
-    if (!typeSupported(SyncType::Lock)) {
-        omuInc(addr);
-        respond(core, MsaOp::RespFail, addr);
+    MsaEntry *e = acquireGate(msg, SyncType::Lock).entry;
+    if (!e)
         return;
-    }
-
-    MsaEntry *e = find(addr);
-    if (e) {
-        if (e->tombstone) {
-            respond(core, MsaOp::RespFail, addr);
-            return;
-        }
-        if (e->busy) {
-            defer(msg);
-            return;
-        }
-        if (e->type != SyncType::Lock)
-            panic("MSA %u: LOCK on active non-lock addr %llx", tile,
-                  static_cast<unsigned long long>(addr));
-        if (e->hwQueue.test(core))
-            panic("MSA %u: recursive LOCK by core %u on %llx", tile, core,
-                  static_cast<unsigned long long>(addr));
-        e->hwQueue.set(core);
-        if (e->hwQueue.count() == 1)
-            grantLock(*e, core);
-        // else: hold the reply until the lock is handed to us.
-        return;
-    }
-
-    // Miss: consult the OMU.
-    if (omuActive(addr)) {
-        omuInc(addr);
-        respond(core, MsaOp::RespFail, addr);
-        return;
-    }
-    e = allocate(addr);
-    if (!e) {
-        omuInc(addr);
-        respond(core, MsaOp::RespFail, addr);
-        return;
-    }
-    e->type = SyncType::Lock;
+    if (e->hwQueue.test(core))
+        panic("MSA %u: recursive LOCK by core %u on %llx", tile, core,
+              static_cast<unsigned long long>(e->addr));
     e->hwQueue.set(core);
-    grantLock(*e, core);
+    if (e->hwQueue.count() == 1)
+        grantLock(*e, core);
+    // else: hold the reply until the lock is handed to us.
 }
 
 void
 MsaSlice::doTryLock(const std::shared_ptr<MsaMsg> &msg)
 {
-    const Addr addr = msg->addr;
+    // A FAIL from the gate pre-increments the OMU: the requester's
+    // software CAS must be ordered after the address becomes
+    // software-active, or a concurrent LOCK could win an MSA entry
+    // against a software holder. If the software attempt loses, the
+    // client cancels the increment with a no-reply FINISH.
     const CoreId core = msg->requester;
-
-    // Any FAIL below pre-increments the OMU: the requester's software
-    // CAS must be ordered after the address becomes software-active,
-    // or a concurrent LOCK could win an MSA entry against a software
-    // holder. If the software attempt loses, the client cancels the
-    // increment with a no-reply FINISH.
-    if (!typeSupported(SyncType::Lock)) {
-        omuInc(addr);
-        respond(core, MsaOp::RespFail, addr);
+    MsaEntry *e = acquireGate(msg, SyncType::Lock).entry;
+    if (!e)
+        return;
+    if (e->hwQueue.any()) {
+        // Held (or waited on): report busy without enqueueing.
+        respond(core, MsaOp::RespBusy, e->addr);
         return;
     }
-    MsaEntry *e = find(addr);
-    if (e) {
-        if (e->tombstone) {
-            omuInc(addr);
-            respond(core, MsaOp::RespFail, addr);
-            return;
-        }
-        if (e->busy) {
-            defer(msg);
-            return;
-        }
-        if (e->type != SyncType::Lock)
-            panic("MSA %u: TRYLOCK on active non-lock addr %llx", tile,
-                  static_cast<unsigned long long>(addr));
-        if (e->hwQueue.any()) {
-            // Held (or waited on): report busy without enqueueing.
-            respond(core, MsaOp::RespBusy, addr);
-            return;
-        }
-        e->hwQueue.set(core);
-        grantLock(*e, core);
-        return;
-    }
-    if (omuActive(addr)) {
-        omuInc(addr);
-        respond(core, MsaOp::RespFail, addr);
-        return;
-    }
-    e = allocate(addr);
-    if (!e) {
-        omuInc(addr);
-        respond(core, MsaOp::RespFail, addr);
-        return;
-    }
-    e->type = SyncType::Lock;
     e->hwQueue.set(core);
     grantLock(*e, core);
 }
@@ -660,18 +659,14 @@ MsaSlice::doUnlock(const std::shared_ptr<MsaMsg> &msg)
     const Addr addr = msg->addr;
     const CoreId core = msg->requester;
 
-    if (!typeSupported(SyncType::Lock)) {
-        omuDec(addr);
-        respond(core, MsaOp::RespFail, addr);
-        return;
-    }
-
     if (msg->epoch != 0 && msg->epoch < wireEpoch(addr)) {
         // Stale release from a revoked grant generation: the lease
         // machinery already reassigned (or freed) this lock after
         // declaring its owner dead. Fence the release — acting on it
         // would unlock the *new* owner's critical section. handoff
         // revokes any silent-privilege record at the (dead) client.
+        // Only a grant gives a release an epoch, so the fence never
+        // fires ahead of the gate's unsupported-type FAIL.
         stats.counter(statPrefix + "fencedReleases").inc();
         traceInstant("FENCED_RELEASE", addr, msg->epoch, true);
         respondFinal(core,
@@ -679,27 +674,11 @@ MsaSlice::doUnlock(const std::shared_ptr<MsaMsg> &msg)
                      addr, /*handoff=*/true);
         return;
     }
-
-    MsaEntry *e = find(addr);
-    if (!e) {
-        if (msg->noReply)
-            panic("MSA %u: fire-and-forget UNLOCK missed entry %llx",
-                  tile, static_cast<unsigned long long>(addr));
-        // Default-to-software: the matching LOCK failed too.
-        omuDec(addr);
-        respond(core, MsaOp::RespFail, addr);
+    MsaEntry *e = releaseGate(msg, SyncType::Lock);
+    if (!e)
         return;
-    }
-    if (e->tombstone) {
-        omuDec(addr);
-        respond(core, MsaOp::RespFail, addr);
-        return;
-    }
-    if (e->busy) {
-        defer(msg);
-        return;
-    }
     if (e->owner == core) {
+        bool handoff = e->hwQueue.count() > 1;
         if (offline && cfg.msa.omuEnabled && e->pinCount == 0) {
             // Graceful decommission: instead of handing the lock to
             // the next hardware waiter, abort every waiter to
@@ -710,14 +689,10 @@ MsaSlice::doUnlock(const std::shared_ptr<MsaMsg> &msg)
             e->owner = invalidCore;
             abortWaiters(*e, "offlineLockAborts");
             retireEntry(*e);
-            respondFinal(core,
-                         msg->noReply ? MsaOp::UnlockDone
-                                      : MsaOp::RespSuccess,
-                         addr, /*handoff=*/true);
-            return;
+            handoff = true;
+        } else {
+            unlockCommon(*e, core);
         }
-        const bool handoff = e->hwQueue.count() > 1;
-        unlockCommon(*e, core);
         respondFinal(core,
                      msg->noReply ? MsaOp::UnlockDone : MsaOp::RespSuccess,
                      addr, handoff);
@@ -803,41 +778,9 @@ MsaSlice::doRwLock(const std::shared_ptr<MsaMsg> &msg, bool writer)
 {
     const Addr addr = msg->addr;
     const CoreId core = msg->requester;
-
-    if (!typeSupported(SyncType::Lock)) {
-        omuInc(addr);
-        respond(core, MsaOp::RespFail, addr);
+    MsaEntry *e = acquireGate(msg, SyncType::RwLock).entry;
+    if (!e)
         return;
-    }
-    MsaEntry *e = find(addr);
-    if (e) {
-        if (e->tombstone) {
-            omuInc(addr);
-            respond(core, MsaOp::RespFail, addr);
-            return;
-        }
-        if (e->busy) {
-            defer(msg);
-            return;
-        }
-        if (e->type != SyncType::RwLock)
-            panic("MSA %u: RW op on active non-RW addr %llx", tile,
-                  static_cast<unsigned long long>(addr));
-    } else {
-        if (omuActive(addr)) {
-            omuInc(addr);
-            respond(core, MsaOp::RespFail, addr);
-            return;
-        }
-        e = allocate(addr);
-        if (!e) {
-            omuInc(addr);
-            respond(core, MsaOp::RespFail, addr);
-            return;
-        }
-        e->type = SyncType::RwLock;
-    }
-
     if (e->readersHeld.test(core) || e->owner == core ||
         e->hwQueue.test(core))
         panic("MSA %u: recursive RW acquire by core %u on %llx", tile,
@@ -874,37 +817,18 @@ MsaSlice::doRwUnlock(const std::shared_ptr<MsaMsg> &msg)
     const Addr addr = msg->addr;
     const CoreId core = msg->requester;
 
-    if (!typeSupported(SyncType::Lock)) {
-        omuDec(addr);
-        respond(core, MsaOp::RespFail, addr);
-        return;
-    }
     if (msg->epoch != 0 && msg->epoch < wireEpoch(addr)) {
-        // Stale release from before a dead-writer revocation.
+        // Stale release from before a dead-writer revocation (as in
+        // doUnlock, it never precedes an unsupported-type FAIL).
         stats.counter(statPrefix + "fencedReleases").inc();
         traceInstant("FENCED_RELEASE", addr, msg->epoch, true);
         if (!msg->noReply)
             respond(core, MsaOp::RespSuccess, addr);
         return;
     }
-    MsaEntry *e = find(addr);
-    if (!e) {
-        if (msg->noReply)
-            panic("MSA %u: fire-and-forget RW_UNLOCK missed entry %llx",
-                  tile, static_cast<unsigned long long>(addr));
-        omuDec(addr);
-        respond(core, MsaOp::RespFail, addr);
+    MsaEntry *e = releaseGate(msg, SyncType::RwLock);
+    if (!e)
         return;
-    }
-    if (e->tombstone) {
-        omuDec(addr);
-        respond(core, MsaOp::RespFail, addr);
-        return;
-    }
-    if (e->busy) {
-        defer(msg);
-        return;
-    }
     if (e->type != SyncType::RwLock)
         panic("MSA %u: RW_UNLOCK on non-RW addr %llx", tile,
               static_cast<unsigned long long>(addr));
@@ -951,45 +875,14 @@ MsaSlice::doBarrier(const std::shared_ptr<MsaMsg> &msg)
 {
     const Addr addr = msg->addr;
     const CoreId core = msg->requester;
-
-    if (!typeSupported(SyncType::Barrier)) {
-        omuInc(addr);
-        respond(core, MsaOp::RespFail, addr);
+    const auto [e, fresh] = acquireGate(msg, SyncType::Barrier);
+    if (!e)
         return;
-    }
-
-    MsaEntry *e = find(addr);
-    if (!e) {
-        if (omuActive(addr)) {
-            omuInc(addr);
-            respond(core, MsaOp::RespFail, addr);
-            return;
-        }
-        e = allocate(addr);
-        if (!e) {
-            omuInc(addr);
-            respond(core, MsaOp::RespFail, addr);
-            return;
-        }
-        e->type = SyncType::Barrier;
+    if (fresh)
         e->goal = msg->goal;
-    } else {
-        if (e->tombstone) {
-            omuInc(addr);
-            respond(core, MsaOp::RespFail, addr);
-            return;
-        }
-        if (e->busy) {
-            defer(msg);
-            return;
-        }
-        if (e->type != SyncType::Barrier)
-            panic("MSA %u: BARRIER on active non-barrier addr %llx", tile,
-                  static_cast<unsigned long long>(addr));
-        if (e->goal != msg->goal)
-            panic("MSA %u: BARRIER goal mismatch on %llx (%u vs %u)", tile,
-                  static_cast<unsigned long long>(addr), e->goal, msg->goal);
-    }
+    else if (e->goal != msg->goal)
+        panic("MSA %u: BARRIER goal mismatch on %llx (%u vs %u)", tile,
+              static_cast<unsigned long long>(addr), e->goal, msg->goal);
 
     if (e->hwQueue.test(core))
         panic("MSA %u: duplicate BARRIER arrival of core %u", tile, core);
@@ -1036,43 +929,22 @@ MsaSlice::doCondWait(const std::shared_ptr<MsaMsg> &msg)
     const Addr lock = msg->addr2;
     const CoreId core = msg->requester;
 
-    if (!typeSupported(SyncType::Cond)) {
+    // Two FAILs of COND_WAIT's own, sent as the gate sends its FAILs.
+    // A waiter that holds the lock via a silent acquire leaves the
+    // lock without an MSA entry, so the cond var must go to software
+    // (whose unlock path handles the silent hold correctly). An
+    // offline slice shed all its cond entries (or aborts them at
+    // UnlockPinResp settle), so sending the wait to software keeps
+    // every waiter of a condvar in a single (software) domain.
+    if (msg->lockHeldSilently || (offline && cfg.msa.omuEnabled)) {
         omuInc(cond);
         respond(core, MsaOp::RespFail, cond);
         return;
     }
-    if (msg->lockHeldSilently) {
-        // The waiter holds the lock via a silent acquire, so the lock
-        // has no MSA entry; the cond var must go to software (whose
-        // unlock path handles the silent hold correctly).
-        omuInc(cond);
-        respond(core, MsaOp::RespFail, cond);
+    const auto [e, fresh] = acquireGate(msg, SyncType::Cond);
+    if (!e)
         return;
-    }
-    if (offline && cfg.msa.omuEnabled) {
-        // All cond entries were shed when the slice went offline (or
-        // abort at UnlockPinResp settle), so no live entry can exist
-        // here; sending the wait to software keeps every waiter of a
-        // condvar in a single (software) domain.
-        omuInc(cond);
-        respond(core, MsaOp::RespFail, cond);
-        return;
-    }
-
-    MsaEntry *e = find(cond);
-    if (e) {
-        if (e->tombstone) {
-            omuInc(cond);
-            respond(core, MsaOp::RespFail, cond);
-            return;
-        }
-        if (e->busy) {
-            defer(msg);
-            return;
-        }
-        if (e->type != SyncType::Cond)
-            panic("MSA %u: COND_WAIT on active non-cond addr %llx", tile,
-                  static_cast<unsigned long long>(cond));
+    if (!fresh) {
         if (e->lockAddr != lock)
             panic("MSA %u: COND_WAIT with mismatched lock on %llx", tile,
                   static_cast<unsigned long long>(cond));
@@ -1086,20 +958,7 @@ MsaSlice::doCondWait(const std::shared_ptr<MsaMsg> &msg)
         send(std::move(u));
         return; // reply held until signal/broadcast
     }
-
-    if (omuActive(cond)) {
-        omuInc(cond);
-        respond(core, MsaOp::RespFail, cond);
-        return;
-    }
-    e = allocate(cond);
-    if (!e) {
-        omuInc(cond);
-        respond(core, MsaOp::RespFail, cond);
-        return;
-    }
     // Reserve the entry and ask the lock's home to UNLOCK&PIN.
-    e->type = SyncType::Cond;
     e->lockAddr = lock;
     e->busy = true;
     auto up = std::make_shared<MsaMsg>(
@@ -1198,19 +1057,10 @@ MsaSlice::doUnlockPinResp(const std::shared_ptr<MsaMsg> &msg, bool ok)
 void
 MsaSlice::doUnlockOnBehalf(const std::shared_ptr<MsaMsg> &msg)
 {
-    const Addr lock = msg->addr;
-    const CoreId waiter = msg->requester;
-    MsaEntry *e = find(lock);
-    if (!e || e->type != SyncType::Lock)
-        panic("MSA %u: UnlockOnBehalf for unpinned lock %llx", tile,
-              static_cast<unsigned long long>(lock));
-    if (e->busy) {
-        defer(msg);
-        return;
-    }
-    if (!unlockCommon(*e, waiter))
+    MsaEntry *e = pinnedLockEntry(msg);
+    if (e && !unlockCommon(*e, msg->requester))
         panic("MSA %u: COND_WAIT by core %u not holding lock %llx", tile,
-              waiter, static_cast<unsigned long long>(lock));
+              msg->requester, static_cast<unsigned long long>(msg->addr));
 }
 
 void
@@ -1284,20 +1134,14 @@ MsaSlice::doCondSignal(const std::shared_ptr<MsaMsg> &msg, bool broadcast)
 void
 MsaSlice::doLockOnBehalf(const std::shared_ptr<MsaMsg> &msg, bool unpin)
 {
-    const Addr lock = msg->addr;
     const CoreId waiter = msg->requester;
-    MsaEntry *e = find(lock);
-    if (!e || e->type != SyncType::Lock)
-        panic("MSA %u: LockOnBehalf for unpinned lock %llx", tile,
-              static_cast<unsigned long long>(lock));
-    if (e->busy) {
-        defer(msg);
+    MsaEntry *e = pinnedLockEntry(msg);
+    if (!e)
         return;
-    }
     if (unpin) {
         if (e->pinCount == 0)
             panic("MSA %u: LOCK&UNPIN with zero pin count on %llx", tile,
-                  static_cast<unsigned long long>(lock));
+                  static_cast<unsigned long long>(e->addr));
         --e->pinCount;
     }
     e->hwQueue.set(waiter);
@@ -1308,18 +1152,12 @@ MsaSlice::doLockOnBehalf(const std::shared_ptr<MsaMsg> &msg, bool unpin)
 void
 MsaSlice::doUnpin(const std::shared_ptr<MsaMsg> &msg)
 {
-    const Addr lock = msg->addr;
-    MsaEntry *e = find(lock);
-    if (!e || e->type != SyncType::Lock)
-        panic("MSA %u: Unpin for unknown lock %llx", tile,
-              static_cast<unsigned long long>(lock));
-    if (e->busy) {
-        defer(msg);
+    MsaEntry *e = pinnedLockEntry(msg);
+    if (!e)
         return;
-    }
     if (e->pinCount == 0)
         panic("MSA %u: Unpin with zero pin count on %llx", tile,
-              static_cast<unsigned long long>(lock));
+              static_cast<unsigned long long>(e->addr));
     --e->pinCount;
     if (e->pinCount == 0 && !e->hwQueue.any() && e->owner == invalidCore)
         retireEntry(*e);

@@ -239,6 +239,39 @@ class MsaSlice
     /** Dedup-gated by process(); deferred messages re-enter here. */
     void dispatch(const std::shared_ptr<MsaMsg> &msg);
 
+    /** What acquireGate() hands its handler. */
+    struct Gated
+    {
+        MsaEntry *entry = nullptr; ///< null: the gate answered
+        bool fresh = false;        ///< allocated for this request
+    };
+
+    /**
+     * Acquire gate (LOCK, TRYLOCK, RDLOCK, WRLOCK, BARRIER, COND_WAIT;
+     * docs/PROTOCOL.md "Request gates"): msg->addr's settled entry of
+     * @p type, or a fresh one allocated with that type. An unsupported
+     * type, a tombstone, a live OMU counter or no free entry FAILs the
+     * request with omuInc, a busy entry defers it, and a live entry of
+     * another type panics; the first two return no entry.
+     */
+    Gated acquireGate(const std::shared_ptr<MsaMsg> &msg, SyncType type);
+
+    /**
+     * Release gate (UNLOCK, RW_UNLOCK): msg->addr's settled entry. It
+     * never allocates: an unsupported @p type, a miss or a tombstone
+     * FAILs with omuDec (a fire-and-forget release that misses
+     * panics), and a busy entry defers. It leaves the entry's type to
+     * the handler, because plain UNLOCK has never checked it.
+     */
+    MsaEntry *releaseGate(const std::shared_ptr<MsaMsg> &msg, SyncType type);
+
+    /**
+     * The lock entry that a cond-variable on-behalf op (UnlockOnBehalf,
+     * LockOnBehalf, LockUnpin, Unpin) names; it must exist, because
+     * the cond entry pins it. Null after deferring behind a busy entry.
+     */
+    MsaEntry *pinnedLockEntry(const std::shared_ptr<MsaMsg> &msg);
+
     void doLock(const std::shared_ptr<MsaMsg> &msg);
     void doTryLock(const std::shared_ptr<MsaMsg> &msg);
     void doRwLock(const std::shared_ptr<MsaMsg> &msg, bool writer);

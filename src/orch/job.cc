@@ -18,7 +18,6 @@ resolveJob(const JobSpec &j, const CampaignSpec::ServerSweep &server)
     run.cfg.smtWays = j.preset.smt;
     run.cfg.msa.hwSyncBitOpt = j.preset.hwsync;
     run.cfg.msa.omuEnabled = j.preset.omu;
-    run.cfg.seed = j.seed;
 
     run.app = workload::appByName(j.app);
     srv::ServerSpec &sv = run.app.server;

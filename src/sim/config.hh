@@ -375,6 +375,11 @@ struct SystemConfig
      * network interface; each runs its own thread program.
      */
     unsigned smtWays = 1;
+    /**
+     * Unread: the workload seed reaches a run as
+     * workload::runAppWithConfig's argument. The field stays for
+     * perfbench/perfbench.cc, its last writer.
+     */
     std::uint64_t seed = 1;
     NocConfig noc;
     MemConfig mem;

@@ -24,6 +24,12 @@
  *    requests per kilotick (noc, core, L1, LLC, MSA slice,
  *    sync.<INSTR>.hw|sw, srv.*), and raytrace on the pthread
  *    baseline (atomics and crossed snoops, no MSA).
+ *  - MsaGateRegistryDigests: the full registry dumps of three
+ *    16-core runs, seed 1, that reach MSA request-gate outcomes no
+ *    other digest reaches: dedup on MSA/OMU-1 with the OMU off
+ *    (parked entries and tombstones), fluidanimate on fig9's
+ *    lock-only MSA (BARRIER unsupported), and dedup on a
+ *    barrier-only MSA (LOCK and COND_WAIT unsupported).
  *  - CampaignReportDigest: report.json, report.csv and report.txt of
  *    three in-process campaigns that between them reach every cell
  *    block: spec stats (one counter absent from the runs), baseline
@@ -39,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "msa/msa_slice.hh"
 #include "noc/mesh.hh"
 #include "orch/aggregate.hh"
 #include "orch/engine.hh"
@@ -58,6 +65,9 @@ constexpr std::uint64_t faultedRegistryDigest = 0x66e7b55d6da2d48cULL;
 constexpr std::uint64_t serverRegistryDigest = 0xd7cfdc2adfe3fbf7ULL;
 constexpr std::uint64_t raytraceRegistryDigest = 0x9e04db7becef0edaULL;
 constexpr std::uint64_t campaignReportDigest = 0x475ac7e4f7d5a65eULL;
+constexpr std::uint64_t tombstoneRegistryDigest = 0x61d01d3161759009ULL;
+constexpr std::uint64_t lockOnlyRegistryDigest = 0xfc9a8fa99118f6bfULL;
+constexpr std::uint64_t barrierOnlyRegistryDigest = 0xb01b1bb30b8a7eaaULL;
 /** @} */
 
 constexpr std::uint64_t fnvBasis = 0xcbf29ce484222325ULL;
@@ -147,9 +157,11 @@ TEST(Golden, NocTraceDigest)
 }
 
 /** Run 16-core @p app on @p config at seed 1 (and @p rate requests
- *  per kilotick when non-zero); the finished System. */
+ *  per kilotick when non-zero), after @p tweak, when given, edits the
+ *  resolved config; the finished System. */
 std::unique_ptr<sys::System>
-runJob(const char *config, const char *app, double rate = 0.0)
+runJob(const char *config, const char *app, double rate = 0.0,
+       void (*tweak)(SystemConfig &) = nullptr)
 {
     orch::JobSpec job;
     job.preset.config = config;
@@ -157,8 +169,10 @@ runJob(const char *config, const char *app, double rate = 0.0)
     job.cores = 16;
     job.seed = 1;
     job.arrivalRate = rate;
-    const orch::JobRun run =
+    orch::JobRun run =
         orch::resolveJob(job, orch::CampaignSpec::ServerSweep{});
+    if (tweak)
+        tweak(run.cfg);
 
     std::unique_ptr<sys::System> system;
     workload::RunOptions opts;
@@ -214,6 +228,51 @@ TEST(Golden, HotCounterRegistryDigests)
     EXPECT_EQ(r.sumCounters("sync.hwOps"), 0u);
     const std::uint64_t hr = registryDigest(r);
     EXPECT_EQ(hr, raytraceRegistryDigest) << std::hex << "digest 0x" << hr;
+}
+
+TEST(Golden, MsaGateRegistryDigests)
+{
+    // MSA/OMU-1 without the OMU: a cond wait whose lock is in software
+    // leaves a tombstone, and later requests FAIL on it.
+    const auto parked = runJob("msa-omu", "dedup", 0.0, [](SystemConfig &c) {
+        c.msa.msaEntries = 1;
+        c.msa.omuEnabled = false;
+    });
+    unsigned tombstones = 0;
+    for (CoreId t = 0; t < 16; ++t)
+        parked->msaSlice(t).forEachEntry(
+            [&](const msa::MsaEntry &e) { tombstones += e.tombstone; });
+    EXPECT_GT(tombstones, 0u);
+    const std::uint64_t ht = registryDigest(parked->stats());
+    EXPECT_EQ(ht, tombstoneRegistryDigest) << std::hex << "digest 0x" << ht;
+
+    // fig9's lock-only MSA.
+    const auto lock_only =
+        runJob("msa-omu", "fluidanimate", 0.0, [](SystemConfig &c) {
+            c.msa.support.barriers = false;
+            c.msa.support.condVars = false;
+        });
+    const StatRegistry &l = lock_only->stats();
+    EXPECT_GT(l.counterValue("sync.BARRIER.sw"), 0u);
+    EXPECT_EQ(l.counterValue("sync.BARRIER.hw"), 0u);
+    EXPECT_GT(l.counterValue("sync.LOCK.hw"), 0u);
+    const std::uint64_t hl = registryDigest(l);
+    EXPECT_EQ(hl, lockOnlyRegistryDigest) << std::hex << "digest 0x" << hl;
+
+    // fig9's barrier-only MSA.
+    const auto barrier_only =
+        runJob("msa-omu", "dedup", 0.0, [](SystemConfig &c) {
+            c.msa.support.locks = false;
+            c.msa.support.condVars = false;
+        });
+    const StatRegistry &b = barrier_only->stats();
+    EXPECT_GT(b.counterValue("sync.LOCK.sw"), 0u);
+    EXPECT_EQ(b.counterValue("sync.LOCK.hw"), 0u);
+    EXPECT_GT(b.counterValue("sync.COND_WAIT.sw"), 0u);
+    EXPECT_EQ(b.counterValue("sync.COND_WAIT.hw"), 0u);
+    const std::uint64_t hb = registryDigest(b);
+    EXPECT_EQ(hb, barrierOnlyRegistryDigest)
+        << std::hex << "digest 0x" << hb;
 }
 
 /** Campaigns whose reports reach every cell block. */

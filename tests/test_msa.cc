@@ -689,6 +689,94 @@ TEST(MsaModes, LockOnlySupportFailsBarriers)
     EXPECT_EQ(order, (std::vector<CoreId>{5}));
 }
 
+// --- Acquire gate ------------------------------------------------------
+
+/** After a short delay, issue one acquire-class @p instr on @p a (a
+ *  cond wait names @p lock) and record its result. */
+ThreadTask
+acquireOnce(ThreadApi t, cpu::SyncInstr instr, Addr a, Addr lock,
+            SyncResult *res)
+{
+    co_await t.compute(500); // an entry holder goes first
+    switch (instr) {
+      case cpu::SyncInstr::Lock:
+        *res = toSyncResult(co_await t.lockInstr(a));
+        break;
+      case cpu::SyncInstr::TryLock:
+        *res = toSyncResult(co_await t.tryLockInstr(a));
+        break;
+      case cpu::SyncInstr::RdLock:
+        *res = toSyncResult(co_await t.rdLockInstr(a));
+        break;
+      case cpu::SyncInstr::WrLock:
+        *res = toSyncResult(co_await t.wrLockInstr(a));
+        break;
+      case cpu::SyncInstr::Barrier:
+        *res = toSyncResult(co_await t.barrierInstr(a, 2));
+        break;
+      default:
+        *res = toSyncResult(co_await t.condWaitInstr(a, lock));
+        break;
+    }
+}
+
+TEST(MsaGate, AcquireFailsToSoftwareWithoutAllocating)
+{
+    // Every acquire-class op meets one gate: an unsupported type, a
+    // live OMU counter or a full MSA FAILs it to software, raises the
+    // address's OMU counter (when there is an OMU) and makes no entry.
+    enum class Why { Unsupported, OmuLive, NoFreeEntry };
+    const Addr a = 16 * 64, held = 0x0, lock = 2 * 16 * 64; // home 0
+    auto holder = [](ThreadApi t, Addr l, SyncResult *res) -> ThreadTask {
+        *res = toSyncResult(co_await t.lockInstr(l));
+        co_await t.compute(5000);
+        co_await t.unlockInstr(l);
+    };
+    for (cpu::SyncInstr instr :
+         {cpu::SyncInstr::Lock, cpu::SyncInstr::TryLock,
+          cpu::SyncInstr::RdLock, cpu::SyncInstr::WrLock,
+          cpu::SyncInstr::Barrier, cpu::SyncInstr::CondWait}) {
+        for (Why why : {Why::Unsupported, Why::OmuLive, Why::NoFreeEntry}) {
+            for (bool omu : {true, false}) {
+                if (why == Why::OmuLive && !omu)
+                    continue; // no OMU, no counter to be live
+                SCOPED_TRACE(::testing::Message()
+                             << cpu::syncInstrName(instr) << " case "
+                             << static_cast<int>(why) << " omu " << omu);
+                SystemConfig cfg = msaCfg(16, 1, false);
+                cfg.msa.omuEnabled = omu;
+                if (why == Why::Unsupported) {
+                    if (instr == cpu::SyncInstr::Barrier)
+                        cfg.msa.support.barriers = false;
+                    else if (instr == cpu::SyncInstr::CondWait)
+                        cfg.msa.support.condVars = false;
+                    else
+                        cfg.msa.support.locks = false;
+                }
+                sys::System s(cfg);
+                MsaSlice &home = s.msaSlice(mem::homeTile(a, 16));
+                std::uint32_t before = 0;
+                if (why == Why::OmuLive) {
+                    home.omu().increment(a);
+                    before = 1;
+                }
+                SyncResult held_res = SyncResult::Fail;
+                if (why == Why::NoFreeEntry)
+                    s.start(1, holder(s.api(1), held, &held_res));
+                SyncResult res = SyncResult::Success;
+                s.start(0, acquireOnce(s.api(0), instr, a, lock, &res));
+                ASSERT_TRUE(s.run(1000000));
+                if (why == Why::NoFreeEntry) {
+                    EXPECT_EQ(held_res, SyncResult::Success);
+                }
+                EXPECT_EQ(res, SyncResult::Fail);
+                EXPECT_EQ(home.omu().count(a), before + (omu ? 1u : 0u));
+                EXPECT_EQ(home.findEntry(a), nullptr);
+            }
+        }
+    }
+}
+
 TEST(MsaCoverage, CountersTrackHwAndSw)
 {
     sys::System s(msaCfg(16, 2));

@@ -506,6 +506,21 @@ TEST(OrchCatalog, EveryCliPresetResolves)
     EXPECT_FALSE(sys::cliPresetFor("bogus", 16, 2, cfg, fl));
 }
 
+TEST(OrchJob, JobsDifferingOnlyInSeedResolveToEqualConfigs)
+{
+    // The workload seed reaches a run as runAppWithConfig's argument,
+    // so it must not split equal configs: repro runs each distinct
+    // (config, flavor, app, seed, tick limit) job once.
+    orch::JobSpec a;
+    a.preset.config = "msa-omu";
+    a.app = "fft";
+    orch::JobSpec b = a;
+    b.seed = 11;
+    const orch::CampaignSpec::ServerSweep none;
+    EXPECT_TRUE(orch::resolveJob(a, none).cfg ==
+                orch::resolveJob(b, none).cfg);
+}
+
 // ------------------------------------------- run-report round-trip
 
 TEST(OrchRunReport, ResultRoundTripsThroughJson)
