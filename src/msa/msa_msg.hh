@@ -7,14 +7,10 @@
 #ifndef MISAR_MSA_MSA_MSG_HH
 #define MISAR_MSA_MSA_MSG_HH
 
-#include <bitset>
 #include <cstdint>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "cpu/op.hh"
-#include "mem/home_slice.hh"
 #include "noc/packet.hh"
 #include "sim/types.hh"
 
@@ -164,46 +160,8 @@ msaOpName(MsaOp op)
     return "?";
 }
 
-/**
- * Snapshot of a dying slice's live state, carried by a SliceHandoff
- * message to the buddy slice. One modeled transfer burst re-homes the
- * variables instead of shedding them (PR 1's decommission fallback).
- */
-struct SliceHandoffState
-{
-    /** One MSA entry, flattened for transfer. */
-    struct Entry
-    {
-        std::uint8_t type = 0;   //!< msa::EntryType as raw value
-        Addr addr = invalidAddr;
-        CoreId owner = invalidCore;
-        CoreId pushedTo = invalidCore;
-        std::uint32_t pinCount = 0;
-        std::uint32_t goal = 0;
-        Addr lockAddr = invalidAddr;
-        bool busy = false;
-        std::bitset<mem::maxCores> hwQueue;
-        std::bitset<mem::maxCores> readersHeld;
-        std::bitset<mem::maxCores> waitIsWriter;
-    };
-
-    /** Per-client at-most-once transaction state. */
-    struct Txn
-    {
-        CoreId core = invalidCore;
-        std::uint64_t seen = 0;
-        std::uint64_t done = 0;
-        std::uint8_t doneOp = 0;  //!< MsaOp of the cached response
-        bool doneHandoff = false;
-    };
-
-    std::vector<Entry> entries;
-    std::vector<Txn> txns;
-    /** Per-slot OMU counter values (same hash across slices). */
-    std::vector<std::uint32_t> omuCounts;
-    /** Per-variable revocation epochs. */
-    std::vector<std::pair<Addr, std::uint32_t>> epochs;
-};
+/** A dying slice's live state (defined in msa/msa_slice.hh). */
+struct SliceHandoffState;
 
 /** One MSA protocol message (always control-sized). */
 class MsaMsg : public noc::Packet

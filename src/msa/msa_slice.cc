@@ -155,6 +155,17 @@ MsaSlice::freeEntry(MsaEntry &e)
 }
 
 void
+MsaSlice::freeCondEntry(MsaEntry &e)
+{
+    // The cond entry's pin on its lock entry goes with it.
+    const Addr lock = e.lockAddr;
+    send(std::make_shared<MsaMsg>(
+        tile, mem::homeTile(blockAlign(lock), cfg.numCores), MsaOp::Unpin,
+        lock));
+    freeEntry(e);
+}
+
+void
 MsaSlice::retireEntry(MsaEntry &e)
 {
     if (cfg.msa.omuEnabled) {
@@ -391,6 +402,23 @@ MsaSlice::dispatch(const std::shared_ptr<MsaMsg> &msg)
 }
 
 MsaEntry *
+MsaSlice::claimSlot(Addr addr, bool grow)
+{
+    auto it = std::find_if(entries.begin(), entries.end(),
+                           [](const MsaEntry &e) { return !e.valid; });
+    if (it == entries.end()) {
+        if (!grow)
+            return nullptr;
+        it = entries.emplace(it);
+    }
+    it->reset();
+    it->valid = true;
+    it->addr = addr;
+    entryIndex.insert(addr, static_cast<std::uint32_t>(it - entries.begin()));
+    return &*it;
+}
+
+MsaEntry *
 MsaSlice::allocate(Addr addr)
 {
     if (offline) {
@@ -401,30 +429,11 @@ MsaSlice::allocate(Addr addr)
         traceInstant("OFFLINE_DENY", addr);
         return nullptr;
     }
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        MsaEntry &e = entries[i];
-        if (!e.valid) {
-            e.reset();
-            e.valid = true;
-            e.addr = addr;
-            entryIndex.insert(addr, static_cast<std::uint32_t>(i));
-            allocations.inc();
-            traceInstant("ALLOC", addr);
-            return &e;
-        }
-    }
-    if (infinite) {
-        // Callers only hold the returned pointer transiently within
-        // this event, so growing the vector here is safe.
-        entries.emplace_back();
-        MsaEntry &e = entries.back();
-        e.valid = true;
-        e.addr = addr;
-        entryIndex.insert(addr,
-                          static_cast<std::uint32_t>(entries.size() - 1));
+    // Only MSA-inf grows past its configured entries.
+    if (MsaEntry *e = claimSlot(addr, infinite)) {
         allocations.inc();
         traceInstant("ALLOC", addr);
-        return &e;
+        return e;
     }
     traceInstant("OVERFLOW", addr);
     if (monitor)
@@ -531,19 +540,23 @@ MsaSlice::grantLock(MsaEntry &e, CoreId core)
     }
 }
 
+void
+MsaSlice::passLock(MsaEntry &e)
+{
+    e.hwQueue.reset(e.owner);
+    e.owner = invalidCore;
+    if (e.hwQueue.any())
+        grantLock(e, pickNext(e));
+    else
+        release(e);
+}
+
 bool
 MsaSlice::unlockCommon(MsaEntry &e, CoreId core)
 {
     if (e.owner != core || !e.hwQueue.test(core))
         return false;
-    e.hwQueue.reset(core);
-    e.owner = invalidCore;
-    if (e.hwQueue.any()) {
-        CoreId next = pickNext(e);
-        grantLock(e, next);
-    } else {
-        release(e);
-    }
+    passLock(e);
     return true;
 }
 
@@ -560,16 +573,7 @@ MsaSlice::acquireGate(const std::shared_ptr<MsaMsg> &msg, SyncType type)
                 return {e, true};
             }
         } else if (!e->tombstone) {
-            if (e->busy) {
-                defer(msg);
-                return {};
-            }
-            if (e->type != type)
-                panic("MSA %u: %s on an active entry of another type at "
-                      "%llx",
-                      tile, msaOpName(msg->op),
-                      static_cast<unsigned long long>(addr));
-            return {e, false};
+            return {settledEntry(msg, *e, type), false};
         }
     }
     // Unsupported type, tombstone, live OMU counter or no free entry:
@@ -588,18 +592,28 @@ MsaSlice::releaseGate(const std::shared_ptr<MsaMsg> &msg, SyncType type)
         if (!e && msg->noReply)
             panic("MSA %u: fire-and-forget %s missed entry %llx", tile,
                   msaOpName(msg->op), static_cast<unsigned long long>(addr));
-        if (e && !e->tombstone) {
-            if (!e->busy)
-                return e;
-            defer(msg);
-            return nullptr;
-        }
+        if (e && !e->tombstone)
+            return settledEntry(msg, *e, type);
     }
     // Default-to-software: the matching acquire FAILed too, and this
     // release ends the software episode that FAIL opened.
     omuDec(addr);
     respond(msg->requester, MsaOp::RespFail, addr);
     return nullptr;
+}
+
+MsaEntry *
+MsaSlice::settledEntry(const std::shared_ptr<MsaMsg> &msg, MsaEntry &e,
+                       SyncType type)
+{
+    if (e.busy) {
+        defer(msg);
+        return nullptr;
+    }
+    if (e.type != type)
+        panic("MSA %u: %s on an active entry of another type at %llx", tile,
+              msaOpName(msg->op), static_cast<unsigned long long>(e.addr));
+    return &e;
 }
 
 MsaEntry *
@@ -679,7 +693,7 @@ MsaSlice::doUnlock(const std::shared_ptr<MsaMsg> &msg)
         return;
     if (e->owner == core) {
         bool handoff = e->hwQueue.count() > 1;
-        if (offline && cfg.msa.omuEnabled && e->pinCount == 0) {
+        if (shedding() && e->pinCount == 0) {
             // Graceful decommission: instead of handing the lock to
             // the next hardware waiter, abort every waiter to
             // software and retire the entry. handoff=true revokes
@@ -687,7 +701,8 @@ MsaSlice::doUnlock(const std::shared_ptr<MsaMsg> &msg)
             // belongs to software acquirers from here on.
             e->hwQueue.reset(core);
             e->owner = invalidCore;
-            abortWaiters(*e, "offlineLockAborts");
+            if (const std::uint32_t n = abortToSoftware(*e))
+                stats.counter(statPrefix + "offlineLockAborts").inc(n);
             retireEntry(*e);
             handoff = true;
         } else {
@@ -706,26 +721,14 @@ MsaSlice::doUnlock(const std::shared_ptr<MsaMsg> &msg)
         // Paper behaviour: reply SUCCESS, abort every waiter to
         // software, free the entry, bump the OMU by the abort count.
         respond(core, MsaOp::RespSuccess, addr);
-        std::uint32_t aborted = 0;
-        for (unsigned c = 0; c < cfg.numThreads(); ++c) {
-            if (e->hwQueue.test(c)) {
-                e->hwQueue.reset(c);
-                respond(c, MsaOp::RespAbort, addr);
-                ++aborted;
-            }
-        }
-        if (aborted) {
-            omuInc(addr, aborted);
-            traceInstant("ABORT", addr, aborted, true);
-        }
-        lockAborts.inc(aborted);
+        lockAborts.inc(abortToSoftware(*e));
         freeEntry(*e);
         return;
     }
     // Pinned lock (freeing it would strand its condition variables)
-    // or HWSync optimization enabled (abort-and-free would leave the
-    // old owner's silent privilege dangling): use the tracked owner
-    // for a precise handoff instead (see header comment).
+    // or no OMU (an entry cannot be freed safely, paper §3.2): use
+    // the tracked owner for a precise handoff instead (see header
+    // comment).
     if (e->owner == invalidCore) {
         respond(core, MsaOp::RespFail, addr);
         return;
@@ -739,7 +742,7 @@ MsaSlice::rwDrain(MsaEntry &e)
 {
     // Offline: no new grants; doRwUnlock sheds the waiters once the
     // current holders fully release.
-    if (offline && cfg.msa.omuEnabled)
+    if (shedding())
         return;
     // Nothing to grant while a writer holds or waiters are absent.
     if (e.owner != invalidCore || !e.hwQueue.any())
@@ -763,6 +766,14 @@ MsaSlice::rwDrain(MsaEntry &e)
             respondRwGrant(c, e.addr);
         }
     }
+}
+
+void
+MsaSlice::rwDrainOrRetire(MsaEntry &e)
+{
+    rwDrain(e);
+    if (e.owner == invalidCore && !e.readersHeld.any() && !e.hwQueue.any())
+        retireEntry(e);
 }
 
 void
@@ -829,9 +840,6 @@ MsaSlice::doRwUnlock(const std::shared_ptr<MsaMsg> &msg)
     MsaEntry *e = releaseGate(msg, SyncType::RwLock);
     if (!e)
         return;
-    if (e->type != SyncType::RwLock)
-        panic("MSA %u: RW_UNLOCK on non-RW addr %llx", tile,
-              static_cast<unsigned long long>(addr));
 
     if (e->owner == core) {
         e->owner = invalidCore;
@@ -853,21 +861,18 @@ MsaSlice::doRwUnlock(const std::shared_ptr<MsaMsg> &msg)
 
     if (!msg->noReply)
         respond(core, MsaOp::RespSuccess, addr);
-    if (offline && cfg.msa.omuEnabled) {
+    if (shedding()) {
         // Shed only at full release: aborting waiters to software
         // while hardware holders remain would let a software writer
         // acquire the word concurrently with them.
         if (e->owner == invalidCore && !e->readersHeld.any()) {
-            abortWaiters(*e, "offlineRwAborts");
-            e->waitIsWriter.reset();
+            if (const std::uint32_t n = abortToSoftware(*e))
+                stats.counter(statPrefix + "offlineRwAborts").inc(n);
             retireEntry(*e);
         }
         return;
     }
-    rwDrain(*e);
-    if (e->owner == invalidCore && !e->readersHeld.any() &&
-        !e->hwQueue.any())
-        retireEntry(*e);
+    rwDrainOrRetire(*e);
 }
 
 void
@@ -936,7 +941,7 @@ MsaSlice::doCondWait(const std::shared_ptr<MsaMsg> &msg)
     // offline slice shed all its cond entries (or aborts them at
     // UnlockPinResp settle), so sending the wait to software keeps
     // every waiter of a condvar in a single (software) domain.
-    if (msg->lockHeldSilently || (offline && cfg.msa.omuEnabled)) {
+    if (msg->lockHeldSilently || shedding()) {
         omuInc(cond);
         respond(core, MsaOp::RespFail, cond);
         return;
@@ -1024,7 +1029,7 @@ MsaSlice::doUnlockPinResp(const std::shared_ptr<MsaMsg> &msg, bool ok)
               static_cast<unsigned long long>(cond));
     e->busy = false;
     if (ok) {
-        if (offline && cfg.msa.omuEnabled) {
+        if (shedding()) {
             // The slice went offline while this reserve was in
             // flight (busy entries are skipped by shedEntries):
             // abort the waiter to the software path now. The lock
@@ -1033,8 +1038,7 @@ MsaSlice::doUnlockPinResp(const std::shared_ptr<MsaMsg> &msg, bool ok)
             stats.counter(statPrefix + "offlineCondAborts").inc();
             respond(waiter, MsaOp::RespAbort, cond);
             omuInc(cond);
-            sendUnpin(e->lockAddr);
-            freeEntry(*e);
+            freeCondEntry(*e);
             drainDeferred();
             return;
         }
@@ -1222,16 +1226,8 @@ MsaSlice::doSuspend(const std::shared_ptr<MsaMsg> &msg)
         if (e && !e->busy && e->type == SyncType::Barrier &&
             e->hwQueue.test(core) && cfg.msa.omuEnabled) {
             // Force the whole barrier to software (paper §4.2.2).
-            std::uint32_t n = 0;
-            for (unsigned c = 0; c < cfg.numThreads(); ++c) {
-                if (e->hwQueue.test(c)) {
-                    respond(c, MsaOp::RespAbort, addr);
-                    ++n;
-                }
-            }
-            omuInc(addr, n);
+            abortToSoftware(*e);
             barrierAborts.inc();
-            traceInstant("ABORT", addr, n, true);
             freeEntry(*e);
         }
         break;
@@ -1243,11 +1239,8 @@ MsaSlice::doSuspend(const std::shared_ptr<MsaMsg> &msg)
             respond(core, MsaOp::RespAbort, addr);
             omuInc(addr);
             condAborts.inc();
-            if (!e->hwQueue.any()) {
-                // Last waiter left without re-acquiring: unpin.
-                sendUnpin(e->lockAddr);
-                freeEntry(*e);
-            }
+            if (!e->hwQueue.any())
+                freeCondEntry(*e); // last waiter left, no re-acquire
         }
         break;
 
@@ -1257,11 +1250,11 @@ MsaSlice::doSuspend(const std::shared_ptr<MsaMsg> &msg)
 }
 
 std::uint32_t
-MsaSlice::abortWaiters(MsaEntry &e, const char *stat_name)
+MsaSlice::abortToSoftware(MsaEntry &e)
 {
     std::uint32_t n = 0;
     for (unsigned c = 0; c < cfg.numThreads(); ++c) {
-        if (e.hwQueue.test(c) && c != e.owner) {
+        if (e.hwQueue.test(c)) {
             e.hwQueue.reset(c);
             respond(c, MsaOp::RespAbort, e.addr);
             ++n;
@@ -1269,19 +1262,9 @@ MsaSlice::abortWaiters(MsaEntry &e, const char *stat_name)
     }
     if (n) {
         omuInc(e.addr, n);
-        stats.counter(statPrefix + stat_name).inc(n);
         traceInstant("ABORT", e.addr, n, true);
     }
     return n;
-}
-
-void
-MsaSlice::sendUnpin(Addr lock)
-{
-    auto u = std::make_shared<MsaMsg>(
-        tile, mem::homeTile(blockAlign(lock), cfg.numCores), MsaOp::Unpin,
-        lock);
-    send(std::move(u));
 }
 
 void
@@ -1292,15 +1275,16 @@ MsaSlice::shedEntries()
             continue;
         switch (e.type) {
           case SyncType::Barrier:
-            abortWaiters(e, "offlineBarrierAborts");
+            if (const std::uint32_t n = abortToSoftware(e))
+                stats.counter(statPrefix + "offlineBarrierAborts").inc(n);
             freeEntry(e);
             break;
           case SyncType::Cond:
             // Aborted waiters re-run the wait in software; the cond
             // entry's pin on its lock entry is no longer needed.
-            abortWaiters(e, "offlineCondAborts");
-            sendUnpin(e.lockAddr);
-            freeEntry(e);
+            if (const std::uint32_t n = abortToSoftware(e))
+                stats.counter(statPrefix + "offlineCondAborts").inc(n);
+            freeCondEntry(e);
             break;
           default:
             // Locks and RW locks shed at their next full release
@@ -1320,7 +1304,7 @@ MsaSlice::goOffline()
     offline = true;
     stats.counter(statPrefix + "offlineEvents").inc();
     traceInstant("OFFLINE", 0);
-    if (cfg.msa.omuEnabled)
+    if (shedding())
         shedEntries();
 }
 
@@ -1432,16 +1416,9 @@ MsaSlice::revokeOwner(MsaEntry &e)
     bumpEpoch(addr);
     stats.counter(statPrefix + "lockRevocations").inc();
     traceInstant("LEASE_REVOKE", addr, e.owner, true);
-    e.hwQueue.reset(e.owner);
-    e.owner = invalidCore;
     // e.pushedTo may still name the corpse; the next grant strips
     // that stale privilege copy through the need_revoke path.
-    if (e.hwQueue.any()) {
-        CoreId next = pickNext(e);
-        grantLock(e, next);
-    } else {
-        release(e);
-    }
+    passLock(e);
 }
 
 // ---------------------------------------------------------------------
@@ -1519,12 +1496,8 @@ MsaSlice::reconfigureEntriesFor(CoreId core)
                 stats.counter(statPrefix + "deadWaiterDrops").inc();
                 changed = true;
             }
-            if (changed) {
-                rwDrain(*e);
-                if (e->owner == invalidCore && !e->readersHeld.any() &&
-                    !e->hwQueue.any())
-                    retireEntry(*e);
-            }
+            if (changed)
+                rwDrainOrRetire(*e);
             break;
           }
 
@@ -1541,10 +1514,8 @@ MsaSlice::reconfigureEntriesFor(CoreId core)
             if (e->hwQueue.test(core)) {
                 e->hwQueue.reset(core);
                 stats.counter(statPrefix + "deadWaiterDrops").inc();
-                if (!e->hwQueue.any()) {
-                    sendUnpin(e->lockAddr);
-                    freeEntry(*e);
-                }
+                if (!e->hwQueue.any())
+                    freeCondEntry(*e);
             }
             break;
         }
@@ -1574,38 +1545,13 @@ MsaSlice::failoverTo(CoreId b)
             txns[m->requester].seen = txns[m->requester].done;
 
     auto st = std::make_shared<SliceHandoffState>();
-    std::uint32_t moved = 0;
     for (auto &e : entries) {
         if (!e.valid || e.tombstone)
             continue;
-        SliceHandoffState::Entry se;
-        se.type = static_cast<std::uint8_t>(e.type);
-        se.addr = e.addr;
-        se.owner = e.owner;
-        se.pushedTo = e.pushedTo;
-        se.pinCount = e.pinCount;
-        se.goal = e.goal;
-        se.lockAddr = e.lockAddr;
-        se.busy = e.busy;
-        se.hwQueue = e.hwQueue;
-        se.readersHeld = e.readersHeld;
-        se.waitIsWriter = e.waitIsWriter;
-        st->entries.push_back(se);
-        ++moved;
+        st->entries.push_back(e);
         freeEntry(e);
     }
-    for (unsigned c = 0; c < cfg.numThreads(); ++c) {
-        const ClientTxn &ct = txns[c];
-        if (ct.seen == 0 && ct.done == 0)
-            continue;
-        SliceHandoffState::Txn t;
-        t.core = c;
-        t.seen = ct.seen;
-        t.done = ct.done;
-        t.doneOp = static_cast<std::uint8_t>(ct.doneOp);
-        t.doneHandoff = ct.doneHandoff;
-        st->txns.push_back(t);
-    }
+    st->txns = txns;
     if (cfg.msa.omuEnabled) {
         // Both OMUs hash identically, so software-episode counts
         // transfer slot-for-slot — each exactly once (zeroed here,
@@ -1616,10 +1562,9 @@ MsaSlice::failoverTo(CoreId b)
             _omu.clearAt(i);
         }
     }
-    for (const auto &[a, ep] : varEpoch)
-        st->epochs.emplace_back(a, ep);
+    st->epochs = varEpoch;
 
-    stats.counter(statPrefix + "rehomedVars").inc(moved);
+    stats.counter(statPrefix + "rehomedVars").inc(st->entries.size());
     auto m = std::make_shared<MsaMsg>(tile, b, MsaOp::SliceHandoff, 0);
     m->handoffState = std::move(st);
     send(std::move(m));
@@ -1663,34 +1608,6 @@ MsaSlice::forwardToBuddy(const std::shared_ptr<MsaMsg> &msg)
     send(std::move(f));
 }
 
-MsaEntry *
-MsaSlice::adoptEntry(Addr addr)
-{
-    if (find(addr))
-        panic("MSA %u: handoff entry %llx collides with a live entry",
-              tile, static_cast<unsigned long long>(addr));
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (!entries[i].valid) {
-            entries[i].reset();
-            entries[i].valid = true;
-            entries[i].addr = addr;
-            entryIndex.insert(addr, static_cast<std::uint32_t>(i));
-            return &entries[i];
-        }
-    }
-    // Hosting two tiles' worth of variables after a failover may
-    // exceed msaEntries; grow rather than drop live waiter state.
-    // This is transient post-fault generosity, not steady-state
-    // capacity: new allocations still respect the configured bound
-    // via allocate().
-    entries.emplace_back();
-    MsaEntry &e = entries.back();
-    e.valid = true;
-    e.addr = addr;
-    entryIndex.insert(addr, static_cast<std::uint32_t>(entries.size() - 1));
-    return &e;
-}
-
 void
 MsaSlice::doHandoff(const std::shared_ptr<MsaMsg> &msg)
 {
@@ -1703,12 +1620,14 @@ MsaSlice::doHandoff(const std::shared_ptr<MsaMsg> &msg)
 
     // Per-client dedup state: adopt the newer completion, keep the
     // higher seen watermark, so retransmissions of requests the
-    // dying slice answered are re-answered, not re-executed.
-    for (const auto &t : st.txns) {
-        ClientTxn &ct = txns[t.core];
+    // dying slice answered are re-answered, not re-executed (an
+    // all-zero record changes nothing).
+    for (std::size_t c = 0; c < st.txns.size(); ++c) {
+        const ClientTxn &t = st.txns[c];
+        ClientTxn &ct = txns[c];
         if (t.done > ct.done) {
             ct.done = t.done;
-            ct.doneOp = static_cast<MsaOp>(t.doneOp);
+            ct.doneOp = t.doneOp;
             ct.doneHandoff = t.doneHandoff;
         }
         if (t.seen > ct.seen)
@@ -1728,23 +1647,21 @@ MsaSlice::doHandoff(const std::shared_ptr<MsaMsg> &msg)
             if (st.omuCounts[i])
                 _omu.addAt(i, st.omuCounts[i]);
     }
-    for (const auto &se : st.entries) {
-        MsaEntry *e = adoptEntry(se.addr);
-        e->type = static_cast<SyncType>(se.type);
-        e->owner = se.owner;
-        e->pushedTo = se.pushedTo;
-        e->pinCount = se.pinCount;
-        e->goal = se.goal;
-        e->lockAddr = se.lockAddr;
-        e->busy = se.busy;
-        e->hwQueue = se.hwQueue;
-        e->readersHeld = se.readersHeld;
-        e->waitIsWriter = se.waitIsWriter;
+    for (const MsaEntry &se : st.entries) {
+        if (find(se.addr))
+            panic("MSA %u: handoff entry %llx collides with a live entry",
+                  tile, static_cast<unsigned long long>(se.addr));
+        // Hosting two tiles' worth of variables after a failover may
+        // exceed msaEntries; grow rather than drop live waiter state.
+        // New allocations still respect the bound via allocate().
+        MsaEntry &e = *claimSlot(se.addr, true);
+        e = se;
+        e.leaseStamp = 0;
         // Owned locks get fresh leases here: the old slice's pending
         // lease events die with its buddy-forwarding shell.
-        if (e->type == SyncType::Lock && e->owner != invalidCore &&
+        if (e.type == SyncType::Lock && e.owner != invalidCore &&
             leasesEnabled())
-            scheduleLease(*e);
+            scheduleLease(e);
     }
 
     awaitingHandoff = false;

@@ -26,6 +26,10 @@
  *   migrated-UNLOCK of a *pinned* lock precisely (the paper's
  *   abort-all-and-free would strand its condition variables).
  *   Unpinned locks keep the paper's abort-all behaviour.
+ *
+ * - One path per way an entry enters or leaves its current use: one
+ *   slot claim, retire, abort-to-software, tombstone and failover
+ *   re-home (docs/PROTOCOL.md "Entry lifecycle").
  */
 
 #ifndef MISAR_MSA_MSA_SLICE_HH
@@ -110,6 +114,41 @@ struct MsaEntry
     {
         *this = MsaEntry{};
     }
+};
+
+/**
+ * A slice's per-client transaction state: retransmission dedup plus a
+ * one-deep completed-response cache (at-most-once execution).
+ */
+struct ClientTxn
+{
+    /** Highest txn received from this core. */
+    std::uint64_t seen = 0;
+    /** Txn of the cached final response. */
+    std::uint64_t done = 0;
+    /** Txn of the request currently being dispatched (0 outside a
+     *  request's dispatch window). */
+    std::uint64_t cur = 0;
+    MsaOp doneOp = MsaOp::RespFail;
+    bool doneHandoff = false;
+};
+
+/**
+ * Snapshot of a dying slice's live state, carried by a SliceHandoff
+ * message to the buddy slice. One modeled transfer burst re-homes the
+ * variables instead of shedding them. Entries and transaction records
+ * travel whole, so failover cannot drop a field of either.
+ */
+struct SliceHandoffState
+{
+    /** Every valid entry except tombstones. */
+    std::vector<MsaEntry> entries;
+    /** Per-client transaction state, indexed by thread id. */
+    std::vector<ClientTxn> txns;
+    /** Per-slot OMU counter values (same hash across slices). */
+    std::vector<std::uint32_t> omuCounts;
+    /** Per-variable revocation epochs. */
+    std::map<Addr, std::uint32_t> epochs;
 };
 
 /** The MSA slice + OMU of one tile. */
@@ -216,23 +255,6 @@ class MsaSlice
     void attachMonitor(obs::ResourceMonitor *monitor);
 
   private:
-    /**
-     * Per-client transaction state: retransmission dedup plus a
-     * one-deep completed-response cache (at-most-once execution).
-     */
-    struct ClientTxn
-    {
-        /** Highest txn received from this core. */
-        std::uint64_t seen = 0;
-        /** Txn of the cached final response. */
-        std::uint64_t done = 0;
-        /** Txn of the request currently being dispatched (0 outside
-         *  a request's dispatch window). */
-        std::uint64_t cur = 0;
-        MsaOp doneOp = MsaOp::RespFail;
-        bool doneHandoff = false;
-    };
-
     /** Process @p msg after the MSA pipeline latency. */
     void process(const std::shared_ptr<MsaMsg> &msg);
 
@@ -260,10 +282,15 @@ class MsaSlice
      * Release gate (UNLOCK, RW_UNLOCK): msg->addr's settled entry. It
      * never allocates: an unsupported @p type, a miss or a tombstone
      * FAILs with omuDec (a fire-and-forget release that misses
-     * panics), and a busy entry defers. It leaves the entry's type to
-     * the handler, because plain UNLOCK has never checked it.
+     * panics), a busy entry defers, and a live entry of another type
+     * panics.
      */
     MsaEntry *releaseGate(const std::shared_ptr<MsaMsg> &msg, SyncType type);
+
+    /** Both gates' hit on a live entry: @p e, or null after deferring
+     *  behind a busy entry; a live entry of another type panics. */
+    MsaEntry *settledEntry(const std::shared_ptr<MsaMsg> &msg, MsaEntry &e,
+                           SyncType type);
 
     /**
      * The lock entry that a cond-variable on-behalf op (UnlockOnBehalf,
@@ -278,6 +305,8 @@ class MsaSlice
     void doRwUnlock(const std::shared_ptr<MsaMsg> &msg);
     /** Grant queued RW waiters after a release (batch readers). */
     void rwDrain(MsaEntry &e);
+    /** rwDrain(), then retire @p e when no holder or waiter remains. */
+    void rwDrainOrRetire(MsaEntry &e);
     void doUnlock(const std::shared_ptr<MsaMsg> &msg);
     void doBarrier(const std::shared_ptr<MsaMsg> &msg);
     void doCondWait(const std::shared_ptr<MsaMsg> &msg);
@@ -303,8 +332,7 @@ class MsaSlice
     void onLeaseVerdict(Addr addr, std::uint64_t stamp);
     /**
      * Revoke @p e's dead owner: bump the variable epoch (fencing any
-     * stale release still in flight), clear ownership, and hand the
-     * lock to the next waiter (or free the entry).
+     * stale release still in flight), then passLock().
      */
     void revokeOwner(MsaEntry &e);
     /** @} */
@@ -328,10 +356,15 @@ class MsaSlice
     /** Post-failover: forward @p msg to the buddy slice verbatim. */
     void forwardToBuddy(const std::shared_ptr<MsaMsg> &msg);
 
-    /** Adopt a re-homed entry from a handoff (may grow capacity). */
-    MsaEntry *adoptEntry(Addr addr);
-
     MsaEntry *find(Addr addr);
+
+    /**
+     * Slot claim: reset the first free slot, else (when @p grow) a new
+     * one, make it @p addr's valid, indexed entry and return it;
+     * nullptr when full. Callers hold the pointer only within the
+     * current event, so growing the vector is safe.
+     */
+    MsaEntry *claimSlot(Addr addr, bool grow);
 
     /** Allocate an entry for @p addr; nullptr if none is free. */
     MsaEntry *allocate(Addr addr);
@@ -343,6 +376,9 @@ class MsaSlice
      */
     void freeEntry(MsaEntry &e);
 
+    /** Free cond entry @p e and send its lock's home the Unpin. */
+    void freeCondEntry(MsaEntry &e);
+
     /** A lock's HWQueue emptied: free the entry unless pinned. */
     void release(MsaEntry &e);
 
@@ -351,6 +387,12 @@ class MsaSlice
 
     /** Pick the next waiter via the NBTC register; clears its bit. */
     CoreId pickNext(MsaEntry &e);
+
+    /**
+     * The owner gives up (or loses) @p e's lock: clear its bit, then
+     * grant the next waiter, or release() when none is queued.
+     */
+    void passLock(MsaEntry &e);
 
     /** Perform an unlock by @p core on @p e; true on success. */
     bool unlockCommon(MsaEntry &e, CoreId core);
@@ -370,15 +412,16 @@ class MsaSlice
     void respondFinal(CoreId core, MsaOp op, Addr addr,
                       bool handoff = false, bool no_silent = false);
 
-    /** ABORT every queued (non-owner) waiter of @p e to software,
-     *  with OMU accounting; returns the number aborted. */
-    std::uint32_t abortWaiters(MsaEntry &e, const char *stat_name);
+    /**
+     * Abort-to-software: clear each queued core's bit and send it
+     * RespAbort; when any were queued, count them in the OMU and
+     * trace an ABORT instant. Returns the number aborted (callers
+     * record their own counter).
+     */
+    std::uint32_t abortToSoftware(MsaEntry &e);
 
     /** Shed barrier/cond entries when going offline. */
     void shedEntries();
-
-    /** Fire-and-forget Unpin to @p lock's home slice. */
-    void sendUnpin(Addr lock);
 
     /** Tracer instant on this slice's row (no-op when untraced). */
     void traceInstant(const char *name, Addr a, std::uint64_t value = 0,
@@ -391,6 +434,9 @@ class MsaSlice
     void drainDeferred();
 
     bool typeSupported(SyncType t) const;
+
+    /** Offline with an OMU: entries shed to software, no new grants. */
+    bool shedding() const { return offline && cfg.msa.omuEnabled; }
 
     /** @name OMU accessors that no-op when the OMU is disabled. @{ */
     void omuInc(Addr a, std::uint32_t n = 1);

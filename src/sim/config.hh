@@ -300,8 +300,6 @@ struct ObsConfig
      * flow events, exported as Chrome trace-event JSON.
      */
     bool traceEnabled = false;
-    /** Record NoC packet events (can dominate trace size). */
-    bool traceNoc = true;
     /** Per-track event cap; excess events are counted as dropped. */
     std::size_t traceMaxEvents = 1u << 20;
     /** Enable the per-sync-variable contention profiler. */

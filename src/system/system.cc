@@ -238,12 +238,10 @@ System::applyObservability()
                 _tracer.get(),
                 _tracer->addTrack(obs::pidCores, c,
                                   "core " + std::to_string(c)));
-        if (o.traceNoc) {
-            for (CoreId t = 0; t < cfg.numCores; ++t) {
-                obs::TrackId tk = _tracer->addTrack(
-                    obs::pidNoc, t, "ni " + std::to_string(t));
-                ms->mesh().ni(t).attachTracer(_tracer.get(), tk);
-            }
+        for (CoreId t = 0; t < cfg.numCores; ++t) {
+            obs::TrackId tk = _tracer->addTrack(obs::pidNoc, t,
+                                                "ni " + std::to_string(t));
+            ms->mesh().ni(t).attachTracer(_tracer.get(), tk);
         }
         // L1 snoop anomalies land on the row of the tile's first
         // hardware thread (the L1 is shared by its SMT siblings).

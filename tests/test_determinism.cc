@@ -65,8 +65,9 @@ runOnceSpec(sys::PaperConfig pc, unsigned cores,
                        ? harness->thread(s.api(t), &lib)
                        : workload::appThread(s.api(t), spec, layout,
                                              &lib, cores, seed));
-    if (split)
+    if (split) {
         EXPECT_EQ(s.runDetailed(split), sys::RunOutcome::LimitReached);
+    }
     EXPECT_EQ(s.runDetailed(2000000000ULL), sys::RunOutcome::Finished);
 
     RunSnapshot snap;

@@ -37,10 +37,12 @@ std::string
 paramName(const ::testing::TestParamInfo<FuzzParam> &info)
 {
     const FuzzParam &p = info.param;
-    return "c" + std::to_string(p.cores) + "_e" +
-           std::to_string(p.entries) + "_o" +
-           std::to_string(p.omuCounters) + (p.hwsync ? "_hws" : "_plain") +
-           "_s" + std::to_string(p.seed) + (p.faults ? "_flt" : "");
+    std::string name = "c";
+    name += std::to_string(p.cores) + "_e" + std::to_string(p.entries) +
+            "_o" + std::to_string(p.omuCounters) +
+            (p.hwsync ? "_hws" : "_plain") + "_s" + std::to_string(p.seed) +
+            (p.faults ? "_flt" : "");
+    return name;
 }
 
 struct FuzzShared

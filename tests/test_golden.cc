@@ -30,6 +30,16 @@
  *    (parked entries and tombstones), fluidanimate on fig9's
  *    lock-only MSA (BARRIER unsupported), and dedup on a
  *    barrier-only MSA (LOCK and COND_WAIT unsupported).
+ *  - OfflineShedRegistryDigests, RecoveryRegistryDigests,
+ *    SuspendRegistryDigests, MigratedUnlockRegistryDigest: the full
+ *    registry dumps of 16-core runs, seed 1, that reach the MSA entry
+ *    teardown paths no other digest reaches: offline shedding of
+ *    locks (raytrace) and barriers (ocean) on msa-omu-faults, a dead
+ *    owner's lock revocation (radiosity on msa-omu2-corefaults), a
+ *    slice failover re-homing live entries (fluidanimate), lock and
+ *    barrier suspension (raytrace) and cond-wait suspension (dedup)
+ *    under timer interrupts, and a migrated UNLOCK aborting the
+ *    lock's waiters.
  *  - CampaignReportDigest: report.json, report.csv and report.txt of
  *    three in-process campaigns that between them reach every cell
  *    block: spec stats (one counter absent from the runs), baseline
@@ -45,6 +55,7 @@
 #include <string>
 #include <vector>
 
+#include "cpu/thread_api.hh"
 #include "msa/msa_slice.hh"
 #include "noc/mesh.hh"
 #include "orch/aggregate.hh"
@@ -54,7 +65,11 @@
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
+#include "sync/sync_lib.hh"
+#include "system/interrupt_driver.hh"
+#include "workload/app_catalog.hh"
 #include "workload/runner.hh"
+#include "workload/synthetic_app.hh"
 
 namespace misar {
 namespace {
@@ -68,6 +83,13 @@ constexpr std::uint64_t campaignReportDigest = 0x475ac7e4f7d5a65eULL;
 constexpr std::uint64_t tombstoneRegistryDigest = 0x61d01d3161759009ULL;
 constexpr std::uint64_t lockOnlyRegistryDigest = 0xfc9a8fa99118f6bfULL;
 constexpr std::uint64_t barrierOnlyRegistryDigest = 0xb01b1bb30b8a7eaaULL;
+constexpr std::uint64_t offlineLockRegistryDigest = 0x918991cf72cb2e67ULL;
+constexpr std::uint64_t offlineBarrierRegistryDigest = 0x4a341fb496980f8cULL;
+constexpr std::uint64_t revocationRegistryDigest = 0x91a63359aee2da47ULL;
+constexpr std::uint64_t failoverRegistryDigest = 0xf52b7c5da070f2f7ULL;
+constexpr std::uint64_t lockSuspendRegistryDigest = 0xd8207a812c169919ULL;
+constexpr std::uint64_t condSuspendRegistryDigest = 0xaa2067078ada6830ULL;
+constexpr std::uint64_t migratedUnlockRegistryDigest = 0x9d70600e3ec1f4d9ULL;
 /** @} */
 
 constexpr std::uint64_t fnvBasis = 0xcbf29ce484222325ULL;
@@ -273,6 +295,116 @@ TEST(Golden, MsaGateRegistryDigests)
     const std::uint64_t hb = registryDigest(b);
     EXPECT_EQ(hb, barrierOnlyRegistryDigest)
         << std::hex << "digest 0x" << hb;
+}
+
+TEST(Golden, OfflineShedRegistryDigests)
+{
+    // Tile 0 goes offline at tick 60000: its locks shed at their next
+    // release, its barriers at once.
+    const auto raytrace = runJob("msa-omu-faults", "raytrace");
+    const StatRegistry &l = raytrace->stats();
+    EXPECT_GT(l.sumCountersSuffix(".msa.offlineLockAborts"), 0u);
+    const std::uint64_t hl = registryDigest(l);
+    EXPECT_EQ(hl, offlineLockRegistryDigest) << std::hex << "digest 0x" << hl;
+
+    const auto ocean = runJob("msa-omu-faults", "ocean");
+    const StatRegistry &b = ocean->stats();
+    EXPECT_GT(b.sumCountersSuffix(".msa.offlineBarrierAborts"), 0u);
+    const std::uint64_t hb = registryDigest(b);
+    EXPECT_EQ(hb, offlineBarrierRegistryDigest)
+        << std::hex << "digest 0x" << hb;
+}
+
+TEST(Golden, RecoveryRegistryDigests)
+{
+    // A core dies holding a lock; its lease expires and the slice
+    // revokes it.
+    const auto radiosity = runJob("msa-omu2-corefaults", "radiosity");
+    const StatRegistry &r = radiosity->stats();
+    EXPECT_GT(r.sumCountersSuffix(".msa.lockRevocations"), 0u);
+    const std::uint64_t hr = registryDigest(r);
+    EXPECT_EQ(hr, revocationRegistryDigest) << std::hex << "digest 0x" << hr;
+
+    // Tile 0's slice fails over to tile 1 mid-run.
+    const auto fluid =
+        runJob("msa-omu", "fluidanimate", 0.0, [](SystemConfig &c) {
+            c.resil.offlineTile = 0;
+            c.resil.offlineAtTick = 30000;
+            c.resil.failoverBuddy = 1;
+        });
+    const StatRegistry &f = fluid->stats();
+    EXPECT_GT(f.sumCountersSuffix(".msa.rehomedVars"), 0u);
+    const std::uint64_t hf = registryDigest(f);
+    EXPECT_EQ(hf, failoverRegistryDigest) << std::hex << "digest 0x" << hf;
+}
+
+/** Run 16-core @p app on MSA/OMU-2 at seed 1 under timer interrupts
+ *  (period 2000, seed 77), built as bench/ablation_suspend.cc builds
+ *  its runs; the finished System. */
+std::unique_ptr<sys::System>
+runInterrupted(const char *app)
+{
+    auto s = std::make_unique<sys::System>(
+        makeConfig(16, AccelMode::MsaOmu, 2));
+    sync::SyncLib lib(sync::SyncLib::Flavor::Hw, 16);
+    const workload::AppSpec &spec = workload::appByName(app);
+    workload::AppLayout lay;
+    for (CoreId c = 0; c < 16; ++c)
+        s->start(c, workload::appThread(s->api(c), spec, lay, &lib, 16, 1));
+    sys::InterruptDriver irq(*s, 2000, 77);
+    EXPECT_TRUE(s->run(5000000000ULL));
+    return s;
+}
+
+TEST(Golden, SuspendRegistryDigests)
+{
+    const auto raytrace = runInterrupted("raytrace");
+    const StatRegistry &l = raytrace->stats();
+    EXPECT_GT(l.sumCountersSuffix(".msa.lockSuspends"), 0u);
+    EXPECT_GT(l.sumCountersSuffix(".msa.barrierAborts"), 0u);
+    const std::uint64_t hl = registryDigest(l);
+    EXPECT_EQ(hl, lockSuspendRegistryDigest) << std::hex << "digest 0x" << hl;
+
+    const auto dedup = runInterrupted("dedup");
+    const StatRegistry &c = dedup->stats();
+    EXPECT_GT(c.sumCountersSuffix(".msa.condAborts"), 0u);
+    const std::uint64_t hc = registryDigest(c);
+    EXPECT_EQ(hc, condSuspendRegistryDigest) << std::hex << "digest 0x" << hc;
+}
+
+TEST(Golden, MigratedUnlockRegistryDigest)
+{
+    // MsaUnlock.MigratedUnlockAbortsWaiters: core 0 takes the lock and
+    // "migrates", core 5 releases it, and cores 1-3 queued behind it
+    // are aborted to software.
+    SystemConfig cfg = makeConfig(16, AccelMode::MsaOmu, 2);
+    cfg.msa.hwSyncBitOpt = false;
+    sys::System s(cfg);
+    sync::SyncLib lib(sync::SyncLib::Flavor::Hw, 16);
+    auto owner = [](cpu::ThreadApi t, Addr l) -> cpu::ThreadTask {
+        co_await t.lockInstr(l);
+        co_await t.compute(3000);
+    };
+    auto migrant = [](cpu::ThreadApi t, Addr l) -> cpu::ThreadTask {
+        co_await t.compute(3000);
+        co_await t.unlockInstr(l);
+    };
+    auto waiter = [](cpu::ThreadApi t, sync::SyncLib *lib,
+                     Addr l) -> cpu::ThreadTask {
+        co_await t.compute(500);
+        co_await lib->mutexLock(t, l);
+        co_await t.compute(100);
+        co_await lib->mutexUnlock(t, l);
+    };
+    s.start(0, owner(s.api(0), 0x8000));
+    s.start(5, migrant(s.api(5), 0x8000));
+    for (CoreId c = 1; c <= 3; ++c)
+        s.start(c, waiter(s.api(c), &lib, 0x8000));
+    ASSERT_TRUE(s.run(10000000));
+    EXPECT_GT(s.stats().sumCountersSuffix(".msa.migratedUnlocks"), 0u);
+    EXPECT_GT(s.stats().sumCountersSuffix(".msa.lockAborts"), 0u);
+    const std::uint64_t h = registryDigest(s.stats());
+    EXPECT_EQ(h, migratedUnlockRegistryDigest) << std::hex << "digest 0x" << h;
 }
 
 /** Campaigns whose reports reach every cell block. */

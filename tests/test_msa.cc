@@ -777,6 +777,28 @@ TEST(MsaGate, AcquireFailsToSoftwareWithoutAllocating)
     }
 }
 
+TEST(MsaGateDeathTest, UnlockOnAnotherTypePanics)
+{
+    // Core 0 waits at a 2-party BARRIER on 0x3000 when core 1 issues
+    // UNLOCK on the same address: the release gate meets a live entry
+    // of another type and panics, as the acquire gate does.
+    auto waiter = [](ThreadApi t, Addr a) -> ThreadTask {
+        co_await t.barrierInstr(a, 2);
+    };
+    auto unlocker = [](ThreadApi t, Addr a) -> ThreadTask {
+        co_await t.compute(500);
+        co_await t.unlockInstr(a);
+    };
+    EXPECT_DEATH(
+        {
+            sys::System s(msaCfg(16, 2));
+            s.start(0, waiter(s.api(0), 0x3000));
+            s.start(1, unlocker(s.api(1), 0x3000));
+            s.run(1000000);
+        },
+        "UNLOCK on an active entry of another type");
+}
+
 TEST(MsaCoverage, CountersTrackHwAndSw)
 {
     sys::System s(msaCfg(16, 2));

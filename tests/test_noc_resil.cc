@@ -118,8 +118,9 @@ TEST(UpDownRouting, DeadRouterPartitionsOnlyItself)
     std::vector<int> comp = components(topo);
     EXPECT_EQ(comp[4], -1);
     for (unsigned r = 0; r < 9; ++r) {
-        if (r != 4)
+        if (r != 4) {
             EXPECT_EQ(comp[r], 0) << "tile " << r;
+        }
     }
 
     RouteTables tbl = computeUpDownTables(topo);
